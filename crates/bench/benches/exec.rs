@@ -171,11 +171,6 @@ fn record_wide_campaign() -> String {
     )
 }
 
-/// Serial wall-clock of the smoke-scale `run all` campaign measured at
-/// the PR-5 kernel (the allocation-heavy pre-refactor baseline every
-/// later number is tracked against).
-const PR5_BASELINE_SERIAL_SECS: f64 = 1.297;
-
 /// Times the full-registry campaign serial and at 2/4 lanes, and records
 /// the trajectory (plus the wide-campaign fields) in `BENCH_exec.json`.
 fn record_speedup(wide: &str) {
@@ -250,16 +245,13 @@ fn record_speedup(wide: &str) {
     let body = format!(
         "{{\"campaign\":\"run all\",\"scale\":\"{}\",\"cells\":{cells},\
          \"host_cpus\":{host_cpus},\
-         \"pr5_baseline_serial_secs\":{PR5_BASELINE_SERIAL_SECS:.3},\
          \"serial_secs\":{serial_secs:.3},\
-         \"speedup_vs_pr5_serial\":{:.3},\
          \"obs_enabled_secs\":{obs_enabled_secs:.3},\
          \"obs_overhead\":{obs_overhead:.3},\
          \"jobs2_secs\":{jobs2_secs:.3},\"jobs4_secs\":{jobs4_secs:.3},\
          \"parallel_speedup_jobs2\":{:.3},\"parallel_speedup_jobs4\":{:.3},\
          \"quick_jobs4_secs\":{quick_jobs4_secs},{wide}}}\n",
         scale.name(),
-        PR5_BASELINE_SERIAL_SECS / serial_secs.max(1e-9),
         serial_secs / jobs2_secs.max(1e-9),
         serial_secs / jobs4_secs.max(1e-9),
     );

@@ -15,7 +15,12 @@
 //! JSON is the *data* interchange form: it carries cell values, not
 //! presentation precision. Percent cells serialize as raw fractions,
 //! non-finite floats as `null`, and a reparsed report re-serializes to
-//! the identical JSON string.
+//! the identical JSON string. Reports are written in a fixed key order
+//! with [`rbr_obs::json`]'s string and number writers and read back with
+//! its parser, which keeps number tokens exact: a `u64::MAX` seed
+//! survives, and an integer token comes back as [`Cell::Int`].
+
+use rbr_obs::json::{self, Json};
 
 /// A rectangular table with a header row.
 #[derive(Clone, Debug, Default)]
@@ -241,12 +246,12 @@ impl Cell {
     /// Appends the JSON form.
     fn write_json(&self, out: &mut String) {
         match self {
-            Cell::Text(s) => write_json_string(out, s),
+            Cell::Text(s) => json::write_str(out, s),
             Cell::Int(v) => out.push_str(&v.to_string()),
-            Cell::Float { value, .. } | Cell::Percent { value, .. } if value.is_finite() => {
-                out.push_str(&format!("{value}"));
+            Cell::Float { value, .. } | Cell::Percent { value, .. } => {
+                json::write_f64(out, *value, "null")
             }
-            Cell::Float { .. } | Cell::Percent { .. } | Cell::Missing => out.push_str("null"),
+            Cell::Missing => out.push_str("null"),
         }
     }
 
@@ -264,9 +269,9 @@ impl Cell {
                         return Ok(Cell::Int(i));
                     }
                 }
-                tok.parse::<f64>()
+                v.as_f64()
                     .map(|value| Cell::Float { value, prec: 3 })
-                    .map_err(|e| format!("bad number {tok:?}: {e}"))
+                    .ok_or_else(|| format!("bad number {tok:?}"))
             }
             other => Err(format!("cell must be null/string/number, got {other:?}")),
         }
@@ -330,13 +335,13 @@ impl TypedTable {
 
     fn write_json(&self, out: &mut String) {
         out.push_str("{\"name\":");
-        write_json_string(out, &self.name);
+        json::write_str(out, &self.name);
         out.push_str(",\"columns\":[");
         for (i, c) in self.columns.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            write_json_string(out, c);
+            json::write_str(out, c);
         }
         out.push_str("],\"rows\":[");
         for (i, row) in self.rows.iter().enumerate() {
@@ -356,17 +361,21 @@ impl TypedTable {
     }
 
     fn from_value(v: &Json) -> Result<TypedTable, String> {
-        let name = v.get("name")?.str_()?.to_string();
+        let name = v.field("name", Json::as_str)?.to_string();
         let columns: Vec<String> = v
-            .get("columns")?
-            .arr()?
+            .field("columns", Json::as_array)?
             .iter()
-            .map(|c| c.str_().map(str::to_string))
+            .map(|c| {
+                c.as_str()
+                    .map(str::to_string)
+                    .ok_or("column name must be a string")
+            })
             .collect::<Result<_, _>>()?;
         let mut rows = Vec::new();
-        for row in v.get("rows")?.arr()? {
+        for row in v.field("rows", Json::as_array)? {
             let cells: Vec<Cell> = row
-                .arr()?
+                .as_array()
+                .ok_or("row must be an array")?
                 .iter()
                 .map(Cell::from_value)
                 .collect::<Result<_, _>>()?;
@@ -414,37 +423,33 @@ pub struct RunMeta {
 impl RunMeta {
     fn write_json(&self, out: &mut String) {
         out.push_str("{\"experiment\":");
-        write_json_string(out, &self.experiment);
+        json::write_str(out, &self.experiment);
         out.push_str(",\"paper_section\":");
-        write_json_string(out, &self.paper_section);
+        json::write_str(out, &self.paper_section);
         out.push_str(",\"scale\":");
-        write_json_string(out, &self.scale);
+        json::write_str(out, &self.scale);
         out.push_str(&format!(
             ",\"seed\":{},\"replications\":{},\"sim_runs\":{},\"jobs\":{},\"events\":{}",
             self.seed, self.replications, self.sim_runs, self.jobs, self.events
         ));
         out.push_str(",\"wall_time_secs\":");
-        if self.wall_time_secs.is_finite() {
-            out.push_str(&format!("{}", self.wall_time_secs));
-        } else {
-            out.push_str("null");
-        }
+        json::write_f64(out, self.wall_time_secs, "null");
         out.push('}');
     }
 
     fn from_value(v: &Json) -> Result<RunMeta, String> {
         Ok(RunMeta {
-            experiment: v.get("experiment")?.str_()?.to_string(),
-            paper_section: v.get("paper_section")?.str_()?.to_string(),
-            scale: v.get("scale")?.str_()?.to_string(),
-            seed: v.get("seed")?.u64_()?,
-            replications: v.get("replications")?.u64_()? as usize,
-            sim_runs: v.get("sim_runs")?.u64_()?,
-            jobs: v.get("jobs")?.u64_()?,
-            events: v.get("events")?.u64_()?,
-            wall_time_secs: match v.get("wall_time_secs")? {
-                Json::Null => f64::NAN,
-                other => other.f64_()?,
+            experiment: v.field("experiment", Json::as_str)?.to_string(),
+            paper_section: v.field("paper_section", Json::as_str)?.to_string(),
+            scale: v.field("scale", Json::as_str)?.to_string(),
+            seed: v.field("seed", Json::as_u64)?,
+            replications: v.field("replications", Json::as_u64)? as usize,
+            sim_runs: v.field("sim_runs", Json::as_u64)?,
+            jobs: v.field("jobs", Json::as_u64)?,
+            events: v.field("events", Json::as_u64)?,
+            wall_time_secs: match v.get("wall_time_secs") {
+                Some(Json::Null) => f64::NAN,
+                _ => v.field("wall_time_secs", Json::as_f64)?,
             },
         })
     }
@@ -575,315 +580,14 @@ impl Report {
 
     /// Parses a report from its JSON rendering.
     pub fn from_json(s: &str) -> Result<Report, String> {
-        let v = parse_json(s)?;
-        let meta = RunMeta::from_value(v.get("meta")?)?;
+        let v = json::parse(s)?;
+        let meta = RunMeta::from_value(v.get("meta").ok_or("missing key \"meta\"")?)?;
         let tables = v
-            .get("tables")?
-            .arr()?
+            .field("tables", Json::as_array)?
             .iter()
             .map(TypedTable::from_value)
             .collect::<Result<_, _>>()?;
         Ok(Report { meta, tables })
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Minimal JSON support. The workspace deliberately carries no JSON crate;
-// reports only need objects/arrays/strings/numbers/null, so a ~150-line
-// recursive-descent parser keeps the renderer round-trippable without a
-// new dependency.
-// ---------------------------------------------------------------------------
-
-/// A parsed JSON value. Numbers keep their raw token so integer-ness and
-/// full precision survive until a consumer picks a type.
-#[derive(Clone, Debug, PartialEq)]
-enum Json {
-    Null,
-    Bool(bool),
-    Num(String),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    fn get(&self, key: &str) -> Result<&Json, String> {
-        match self {
-            Json::Obj(entries) => entries
-                .iter()
-                .find(|(k, _)| k == key)
-                .map(|(_, v)| v)
-                .ok_or_else(|| format!("missing key {key:?}")),
-            other => Err(format!("expected object with key {key:?}, got {other:?}")),
-        }
-    }
-
-    fn str_(&self) -> Result<&str, String> {
-        match self {
-            Json::Str(s) => Ok(s),
-            other => Err(format!("expected string, got {other:?}")),
-        }
-    }
-
-    fn arr(&self) -> Result<&[Json], String> {
-        match self {
-            Json::Arr(items) => Ok(items),
-            other => Err(format!("expected array, got {other:?}")),
-        }
-    }
-
-    fn u64_(&self) -> Result<u64, String> {
-        match self {
-            Json::Num(tok) => tok
-                .parse::<u64>()
-                .map_err(|e| format!("expected unsigned integer, got {tok:?}: {e}")),
-            other => Err(format!("expected number, got {other:?}")),
-        }
-    }
-
-    fn f64_(&self) -> Result<f64, String> {
-        match self {
-            Json::Num(tok) => tok
-                .parse::<f64>()
-                .map_err(|e| format!("expected number, got {tok:?}: {e}")),
-            other => Err(format!("expected number, got {other:?}")),
-        }
-    }
-}
-
-/// Appends `s` as a JSON string literal.
-fn write_json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-fn parse_json(src: &str) -> Result<Json, String> {
-    let mut p = JsonParser { src, pos: 0 };
-    p.skip_ws();
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos != p.src.len() {
-        return Err(p.err("trailing characters after JSON value"));
-    }
-    Ok(v)
-}
-
-struct JsonParser<'a> {
-    src: &'a str,
-    pos: usize,
-}
-
-impl JsonParser<'_> {
-    fn err(&self, msg: &str) -> String {
-        format!("{msg} at byte {}", self.pos)
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.src.as_bytes().get(self.pos).copied()
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn eat(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected {:?}", b as char)))
-        }
-    }
-
-    fn literal(&mut self, lit: &str, v: Json) -> Result<Json, String> {
-        if self.src[self.pos..].starts_with(lit) {
-            self.pos += lit.len();
-            Ok(v)
-        } else {
-            Err(self.err(&format!("expected {lit:?}")))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        self.skip_ws();
-        match self.peek() {
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            _ => Err(self.err("expected a JSON value")),
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.eat(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(self.err("expected ',' or ']'")),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.eat(b'{')?;
-        let mut entries = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(entries));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.eat(b':')?;
-            let value = self.value()?;
-            entries.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(entries));
-                }
-                _ => return Err(self.err("expected ',' or '}'")),
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        let digits_start = self.pos;
-        while self.peek().is_some_and(|c| c.is_ascii_digit()) {
-            self.pos += 1;
-        }
-        if self.pos == digits_start {
-            return Err(self.err("expected digits"));
-        }
-        if self.peek() == Some(b'.') {
-            self.pos += 1;
-            while self.peek().is_some_and(|c| c.is_ascii_digit()) {
-                self.pos += 1;
-            }
-        }
-        if matches!(self.peek(), Some(b'e' | b'E')) {
-            self.pos += 1;
-            if matches!(self.peek(), Some(b'+' | b'-')) {
-                self.pos += 1;
-            }
-            let exp_start = self.pos;
-            while self.peek().is_some_and(|c| c.is_ascii_digit()) {
-                self.pos += 1;
-            }
-            if self.pos == exp_start {
-                return Err(self.err("expected exponent digits"));
-            }
-        }
-        Ok(Json::Num(self.src[start..self.pos].to_string()))
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.eat(b'"')?;
-        let mut out = String::new();
-        loop {
-            let bytes = self.src.as_bytes();
-            let run_start = self.pos;
-            while self
-                .peek()
-                .is_some_and(|c| c != b'"' && c != b'\\' && c >= 0x20)
-            {
-                self.pos += 1;
-            }
-            if self.pos > run_start {
-                // Safe slice: '"' and '\\' are ASCII, so run boundaries
-                // fall on UTF-8 character boundaries.
-                out.push_str(&self.src[run_start..self.pos]);
-            }
-            match self.peek() {
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    let esc = bytes.get(self.pos).copied();
-                    self.pos += 1;
-                    match esc {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let hi = self.hex4()?;
-                            let code = if (0xD800..0xDC00).contains(&hi) {
-                                // Surrogate pair: expect a following \uXXXX.
-                                self.eat(b'\\')?;
-                                self.eat(b'u')?;
-                                let lo = self.hex4()?;
-                                if !(0xDC00..0xE000).contains(&lo) {
-                                    return Err(self.err("invalid low surrogate"));
-                                }
-                                0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00)
-                            } else {
-                                hi
-                            };
-                            out.push(
-                                char::from_u32(code)
-                                    .ok_or_else(|| self.err("invalid unicode escape"))?,
-                            );
-                        }
-                        _ => return Err(self.err("invalid escape")),
-                    }
-                }
-                _ => return Err(self.err("unterminated string")),
-            }
-        }
-    }
-
-    fn hex4(&mut self) -> Result<u32, String> {
-        let end = self.pos + 4;
-        let Some(hex) = self.src.get(self.pos..end) else {
-            return Err(self.err("truncated unicode escape"));
-        };
-        let code = u32::from_str_radix(hex, 16).map_err(|_| self.err("invalid unicode escape"))?;
-        self.pos = end;
-        Ok(code)
     }
 }
 
@@ -1013,21 +717,20 @@ mod tests {
     }
 
     #[test]
+    fn json_bytes_are_pinned() {
+        // Committed reports and cache payloads depend on these exact
+        // bytes: key order, escapes, integer and float text, `null`.
+        assert_eq!(
+            sample_report().render_json(),
+            "{\"meta\":{\"experiment\":\"sample\",\"paper_section\":\"§0\",\"scale\":\"smoke\",\"seed\":18446744073709551615,\"replications\":2,\"sim_runs\":4,\"jobs\":123,\"events\":4567,\"wall_time_secs\":0.25},\"tables\":[{\"name\":\"Sample — \\\"quoted\\\", comma\",\"columns\":[\"label\",\"n\",\"metric\"],\"rows\":[[\"plain\",42,0.8125],[\"esc \\\\ \\\"\\n\\ttab · π\",-7,null],[\"pct\",0,0.875]]}]}"
+        );
+    }
+
+    #[test]
     fn json_parser_rejects_garbage() {
         assert!(Report::from_json("").is_err());
         assert!(Report::from_json("{\"meta\":{}}").is_err());
         assert!(Report::from_json("{\"meta\":null,\"tables\":[]} trailing").is_err());
-    }
-
-    #[test]
-    fn json_parser_accepts_unicode_escapes() {
-        let report = Report::from_json(
-            "{\"meta\":{\"experiment\":\"\\u00e9\\ud83d\\ude00\",\"paper_section\":\"s\",\
-             \"scale\":\"smoke\",\"seed\":1,\"replications\":1,\"sim_runs\":0,\"jobs\":0,\
-             \"events\":0,\"wall_time_secs\":1.5},\"tables\":[]}",
-        )
-        .expect("parse");
-        assert_eq!(report.meta.experiment, "é😀");
     }
 
     #[test]

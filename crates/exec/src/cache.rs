@@ -18,17 +18,19 @@
 //! temp file + rename so concurrent campaigns sharing one cache dir
 //! never observe a torn entry.
 //!
-//! Each entry is two JSONL lines in the journal's hand-rolled dialect:
-//! an identity header, then the cell's [`Record`] verbatim (including
-//! the original `elapsed_secs`, so a cache-hit replay journals exactly
-//! what the original run journalled).
+//! Each entry is two JSON lines, written and read with
+//! [`rbr_obs::json`]: an identity header, then the cell's [`Record`] as
+//! the journal writes it (including the original `elapsed_secs`, so a
+//! cache-hit replay journals exactly what the original run journalled).
 
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
 
+use rbr_obs::json::{self, Json};
+
 use crate::hash;
-use crate::journal::{write_json_string, Record};
+use crate::journal::{parse_line, parse_record, record_line, Record};
 
 /// Registry handles for cache traffic (registered once each; per-call
 /// cost is a relaxed load while metrics are off).
@@ -86,11 +88,15 @@ impl CellCache {
         let path = self.entry_path(&Self::content_key(manifest, key));
         let bytes = std::fs::read(&path).ok()?;
         let mut lines = bytes.split(|b| *b == b'\n');
-        let (stored_manifest, stored_key) = parse_identity(lines.next()?).ok()?;
-        if stored_manifest != manifest || stored_key != key {
+        let identity = parse_line(lines.next()?, &["cache", "campaign", "key"]).ok()?;
+        let field = |k| identity.get(k).and_then(Json::as_str);
+        if field("cache")? != "rbr-cell-v1"
+            || field("campaign")? != manifest
+            || field("key")? != key
+        {
             return None;
         }
-        let record = crate::journal::parse_record(lines.next()?).ok()?;
+        let record = parse_record(lines.next()?).ok()?;
         if record.key != key {
             return None;
         }
@@ -108,16 +114,11 @@ impl CellCache {
             .map_err(|e| format!("cannot create {}: {e}", parent.display()))?;
 
         let mut text = String::from("{\"cache\":\"rbr-cell-v1\",\"campaign\":");
-        write_json_string(&mut text, manifest);
+        json::write_str(&mut text, manifest);
         text.push_str(",\"key\":");
-        write_json_string(&mut text, &record.key);
+        json::write_str(&mut text, &record.key);
         text.push_str("}\n");
-        text.push_str(&format!("{{\"cell\":{},\"key\":", record.cell));
-        write_json_string(&mut text, &record.key);
-        text.push_str(&format!(",\"elapsed_secs\":{}", record.elapsed_secs));
-        text.push_str(",\"payload\":");
-        write_json_string(&mut text, &record.payload);
-        text.push_str("}\n");
+        text.push_str(&record_line(record));
 
         let tmp = parent.join(format!(".{content_key}.{}.tmp", std::process::id()));
         let mut file = std::fs::File::create(&tmp)
@@ -131,24 +132,6 @@ impl CellCache {
         cache_counter("stores").inc();
         Ok(())
     }
-}
-
-fn parse_identity(line: &[u8]) -> Result<(String, String), String> {
-    let src = std::str::from_utf8(line).map_err(|e| format!("not UTF-8: {e}"))?;
-    let rest = src
-        .strip_prefix("{\"cache\":\"rbr-cell-v1\",\"campaign\":")
-        .ok_or("bad cache header")?;
-    // The two identity strings are written by `write_json_string`, so a
-    // tiny dedicated split suffices: find the `,"key":` separator at the
-    // top level by re-scanning through the first string.
-    let mut p = crate::journal::Scanner::new(rest.as_bytes())?;
-    let manifest = p.string()?;
-    p.expect(',')?;
-    p.expect_key("key")?;
-    let key = p.string()?;
-    p.expect('}')?;
-    p.end()?;
-    Ok((manifest, key))
 }
 
 #[cfg(test)]
@@ -206,6 +189,22 @@ mod tests {
             .replace("\"campaign\":\"m1\"", "\"campaign\":\"mX\"");
         std::fs::write(&path, text).unwrap();
         assert!(cache.lookup("m1", "fig1 scale=smoke").is_none());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn entry_bytes_are_pinned() {
+        let dir = tmp_dir("pinned");
+        let cache = CellCache::open(&dir).unwrap();
+        cache.store("scale=smoke \"q\"\tseed=7", &record()).unwrap();
+        let path = cache.entry_path(&CellCache::content_key(
+            "scale=smoke \"q\"\tseed=7",
+            "fig1 scale=smoke",
+        ));
+        assert_eq!(
+            std::fs::read_to_string(&path).unwrap(),
+            "{\"cache\":\"rbr-cell-v1\",\"campaign\":\"scale=smoke \\\"q\\\"\\tseed=7\",\"key\":\"fig1 scale=smoke\"}\n{\"cell\":4,\"key\":\"fig1 scale=smoke\",\"elapsed_secs\":1.25,\"payload\":\"{\\\"meta\\\":\\\"fig1\\\",\\\"text\\\":\\\"a\\\\nπ\\\"}\"}\n"
+        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

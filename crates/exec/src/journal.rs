@@ -32,9 +32,10 @@
 //! construction. Journals written by the pre-segmented single-file
 //! format (`journal.jsonl`) still load via the original linear scan.
 //!
-//! The format remains deliberately minimal — objects with string and
-//! number fields only — so this crate needs no JSON dependency and the
-//! records stay greppable:
+//! Every line is a flat object of string and number fields, written in
+//! a fixed key order with [`rbr_obs::json`]'s writers and read with its
+//! parser. A loader rejects a line with a missing, extra or mistyped
+//! field, which is how a half-written record shows itself:
 //!
 //! ```text
 //! {"campaign":"scale=smoke seed=default reps=- format=json","cells":16,"segment":0}
@@ -45,6 +46,8 @@ use std::fs::{File, OpenOptions};
 use std::io::{BufRead, BufReader, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::{Mutex, OnceLock};
+
+use rbr_obs::json::{self, Json};
 
 use crate::hash;
 
@@ -404,12 +407,7 @@ impl Journal {
     /// kill immediately after. Rolls (and seals) the active segment
     /// first when it is full.
     pub fn append(&mut self, record: &Record) -> Result<(), String> {
-        let mut line = format!("{{\"cell\":{},\"key\":", record.cell);
-        write_json_string(&mut line, &record.key);
-        line.push_str(&format!(",\"elapsed_secs\":{}", record.elapsed_secs));
-        line.push_str(",\"payload\":");
-        write_json_string(&mut line, &record.payload);
-        line.push_str("}\n");
+        let line = record_line(record);
         let appended = match &mut self.store {
             Store::Legacy { file, path } => file
                 .write_all(line.as_bytes())
@@ -484,10 +482,12 @@ impl Segmented {
         let mut block = String::new();
         for e in &self.pending {
             block.push_str(&format!("{{\"cell\":{},\"key\":", e.cell));
-            write_json_string(&mut block, &e.key);
+            json::write_str(&mut block, &e.key);
+            block.push_str(",\"elapsed_secs\":");
+            json::write_f64(&mut block, e.elapsed_secs, "0");
             block.push_str(&format!(
-                ",\"elapsed_secs\":{},\"segment\":{},\"offset\":{},\"len\":{}}}\n",
-                e.elapsed_secs, self.segment, e.offset, e.len
+                ",\"segment\":{},\"offset\":{},\"len\":{}}}\n",
+                self.segment, e.offset, e.len
             ));
         }
         block.push_str(&format!(
@@ -546,7 +546,7 @@ fn create_segment(
     let mut file =
         File::create(&path).map_err(|e| format!("cannot create {}: {e}", path.display()))?;
     let mut header = String::from("{\"campaign\":");
-    write_json_string(&mut header, manifest);
+    json::write_str(&mut header, manifest);
     header.push_str(&format!(",\"cells\":{cells},\"segment\":{segment}}}\n"));
     file.write_all(header.as_bytes())
         .and_then(|()| file.flush())
@@ -937,33 +937,45 @@ fn load_legacy(dir: &Path) -> Result<Option<Loaded>, String> {
     }))
 }
 
+/// A record's journal line, newline included: `cell`, `key`,
+/// `elapsed_secs`, `payload`, in that order. Segments, legacy journals
+/// and cache entries all store records this way.
+pub(crate) fn record_line(record: &Record) -> String {
+    let mut line = String::with_capacity(record.payload.len() + record.key.len() + 64);
+    line.push_str(&format!("{{\"cell\":{},\"key\":", record.cell));
+    json::write_str(&mut line, &record.key);
+    line.push_str(",\"elapsed_secs\":");
+    json::write_f64(&mut line, record.elapsed_secs, "0");
+    line.push_str(",\"payload\":");
+    json::write_str(&mut line, &record.payload);
+    line.push_str("}\n");
+    line
+}
+
+/// Parses one line (without its newline) as an object with exactly
+/// `keys`.
+pub(crate) fn parse_line(line: &[u8], keys: &[&str]) -> Result<Json, String> {
+    let text = std::str::from_utf8(line).map_err(|e| format!("not UTF-8: {e}"))?;
+    let value = json::parse(text)?;
+    value.expect_keys(keys)?;
+    Ok(value)
+}
+
 fn parse_legacy_header(line: &[u8]) -> Result<(String, u64), String> {
-    let mut p = Scanner::new(line)?;
-    p.expect('{')?;
-    p.expect_key("campaign")?;
-    let manifest = p.string()?;
-    p.expect(',')?;
-    p.expect_key("cells")?;
-    let cells = p.number()?.parse::<u64>().map_err(|e| e.to_string())?;
-    p.expect('}')?;
-    p.end()?;
-    Ok((manifest, cells))
+    let v = parse_line(line, &["campaign", "cells"])?;
+    Ok((
+        v.field("campaign", Json::as_str)?.to_string(),
+        v.field("cells", Json::as_u64)?,
+    ))
 }
 
 fn parse_segment_header(line: &[u8]) -> Result<(String, u64, u64), String> {
-    let mut p = Scanner::new(line)?;
-    p.expect('{')?;
-    p.expect_key("campaign")?;
-    let manifest = p.string()?;
-    p.expect(',')?;
-    p.expect_key("cells")?;
-    let cells = p.number()?.parse::<u64>().map_err(|e| e.to_string())?;
-    p.expect(',')?;
-    p.expect_key("segment")?;
-    let segment = p.number()?.parse::<u64>().map_err(|e| e.to_string())?;
-    p.expect('}')?;
-    p.end()?;
-    Ok((manifest, cells, segment))
+    let v = parse_line(line, &["campaign", "cells", "segment"])?;
+    Ok((
+        v.field("campaign", Json::as_str)?.to_string(),
+        v.field("cells", Json::as_u64)?,
+        v.field("segment", Json::as_u64)?,
+    ))
 }
 
 struct IndexHeader {
@@ -973,28 +985,18 @@ struct IndexHeader {
 }
 
 fn parse_index_header(line: &[u8]) -> Result<IndexHeader, String> {
-    let mut p = Scanner::new(line)?;
-    p.expect('{')?;
-    p.expect_key("index")?;
-    let version = p.string()?;
+    let v = parse_line(
+        line,
+        &["index", "manifest_hash", "cells", "segment_records"],
+    )?;
+    let version = v.field("index", Json::as_str)?;
     if version != "rbr-journal-v1" {
         return Err(format!("unknown index version {version:?}"));
     }
-    p.expect(',')?;
-    p.expect_key("manifest_hash")?;
-    let manifest_hash = p.string()?;
-    p.expect(',')?;
-    p.expect_key("cells")?;
-    let cells = p.number()?.parse::<u64>().map_err(|e| e.to_string())?;
-    p.expect(',')?;
-    p.expect_key("segment_records")?;
-    let segment_records = p.number()?.parse::<usize>().map_err(|e| e.to_string())?;
-    p.expect('}')?;
-    p.end()?;
     Ok(IndexHeader {
-        manifest_hash,
-        cells,
-        segment_records: segment_records.max(1),
+        manifest_hash: v.field("manifest_hash", Json::as_str)?.to_string(),
+        cells: v.field("cells", Json::as_u64)?,
+        segment_records: (v.field("segment_records", Json::as_u64)? as usize).max(1),
     })
 }
 
@@ -1009,214 +1011,37 @@ enum IndexLine {
 
 fn parse_index_line(line: &[u8]) -> Result<IndexLine, String> {
     if line.starts_with(b"{\"segment\":") {
-        let mut p = Scanner::new(line)?;
-        p.expect('{')?;
-        p.expect_key("segment")?;
-        let segment = p.number()?.parse::<u64>().map_err(|e| e.to_string())?;
-        p.expect(',')?;
-        p.expect_key("records")?;
-        let records = p.number()?.parse::<usize>().map_err(|e| e.to_string())?;
-        p.expect(',')?;
-        p.expect_key("bytes")?;
-        let bytes = p.number()?.parse::<u64>().map_err(|e| e.to_string())?;
-        p.expect('}')?;
-        p.end()?;
+        let v = parse_line(line, &["segment", "records", "bytes"])?;
         return Ok(IndexLine::Commit {
-            segment,
-            records,
-            bytes,
+            segment: v.field("segment", Json::as_u64)?,
+            records: v.field("records", Json::as_u64)? as usize,
+            bytes: v.field("bytes", Json::as_u64)?,
         });
     }
-    let mut p = Scanner::new(line)?;
-    p.expect('{')?;
-    p.expect_key("cell")?;
-    let cell = p.number()?.parse::<u64>().map_err(|e| e.to_string())?;
-    p.expect(',')?;
-    p.expect_key("key")?;
-    let key = p.string()?;
-    p.expect(',')?;
-    p.expect_key("elapsed_secs")?;
-    let elapsed_secs = p.number()?.parse::<f64>().map_err(|e| e.to_string())?;
-    p.expect(',')?;
-    p.expect_key("segment")?;
-    let segment = p.number()?.parse::<u64>().map_err(|e| e.to_string())?;
-    p.expect(',')?;
-    p.expect_key("offset")?;
-    let offset = p.number()?.parse::<u64>().map_err(|e| e.to_string())?;
-    p.expect(',')?;
-    p.expect_key("len")?;
-    let len = p.number()?.parse::<u64>().map_err(|e| e.to_string())?;
-    p.expect('}')?;
-    p.end()?;
+    let v = parse_line(
+        line,
+        &["cell", "key", "elapsed_secs", "segment", "offset", "len"],
+    )?;
     Ok(IndexLine::Cell(Entry {
-        cell,
-        key,
-        elapsed_secs,
+        cell: v.field("cell", Json::as_u64)?,
+        key: v.field("key", Json::as_str)?.to_string(),
+        elapsed_secs: v.field("elapsed_secs", Json::as_f64)?,
         loc: Loc::Seek {
-            segment,
-            offset,
-            len,
+            segment: v.field("segment", Json::as_u64)?,
+            offset: v.field("offset", Json::as_u64)?,
+            len: v.field("len", Json::as_u64)?,
         },
     }))
 }
 
 pub(crate) fn parse_record(line: &[u8]) -> Result<Record, String> {
-    let mut p = Scanner::new(line)?;
-    p.expect('{')?;
-    p.expect_key("cell")?;
-    let cell = p.number()?.parse::<u64>().map_err(|e| e.to_string())?;
-    p.expect(',')?;
-    p.expect_key("key")?;
-    let key = p.string()?;
-    p.expect(',')?;
-    p.expect_key("elapsed_secs")?;
-    let elapsed_secs = p.number()?.parse::<f64>().map_err(|e| e.to_string())?;
-    p.expect(',')?;
-    p.expect_key("payload")?;
-    let payload = p.string()?;
-    p.expect('}')?;
-    p.end()?;
+    let v = parse_line(line, &["cell", "key", "elapsed_secs", "payload"])?;
     Ok(Record {
-        cell,
-        key,
-        elapsed_secs,
-        payload,
+        cell: v.field("cell", Json::as_u64)?,
+        key: v.field("key", Json::as_str)?.to_string(),
+        elapsed_secs: v.field("elapsed_secs", Json::as_f64)?,
+        payload: v.field("payload", Json::as_str)?.to_string(),
     })
-}
-
-/// Appends `s` as a JSON string literal.
-pub(crate) fn write_json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-/// A strict scanner for the journal's fixed record shapes. It is not a
-/// general JSON parser: keys must appear in writing order, which is
-/// exactly what lets a half-written record be detected as such.
-pub(crate) struct Scanner<'a> {
-    src: &'a str,
-    pos: usize,
-}
-
-impl<'a> Scanner<'a> {
-    pub(crate) fn new(line: &'a [u8]) -> Result<Self, String> {
-        let src = std::str::from_utf8(line).map_err(|e| format!("not UTF-8: {e}"))?;
-        Ok(Scanner { src, pos: 0 })
-    }
-
-    pub(crate) fn expect(&mut self, c: char) -> Result<(), String> {
-        if self.src[self.pos..].starts_with(c) {
-            self.pos += c.len_utf8();
-            Ok(())
-        } else {
-            Err(format!("expected {c:?} at byte {}", self.pos))
-        }
-    }
-
-    pub(crate) fn expect_key(&mut self, key: &str) -> Result<(), String> {
-        let want = format!("\"{key}\":");
-        if self.src[self.pos..].starts_with(&want) {
-            self.pos += want.len();
-            Ok(())
-        } else {
-            Err(format!("expected key {key:?} at byte {}", self.pos))
-        }
-    }
-
-    fn number(&mut self) -> Result<&'a str, String> {
-        let start = self.pos;
-        let bytes = self.src.as_bytes();
-        while self
-            .src
-            .as_bytes()
-            .get(self.pos)
-            .is_some_and(|b| b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E'))
-        {
-            self.pos += 1;
-        }
-        if self.pos == start {
-            return Err(format!("expected a number at byte {start}"));
-        }
-        let _ = bytes;
-        Ok(&self.src[start..self.pos])
-    }
-
-    pub(crate) fn string(&mut self) -> Result<String, String> {
-        self.expect('"')?;
-        let mut out = String::new();
-        let bytes = self.src.as_bytes();
-        loop {
-            match bytes.get(self.pos) {
-                None => return Err("unterminated string".to_string()),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    let esc = bytes.get(self.pos).copied();
-                    self.pos += 1;
-                    match esc {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let end = self.pos + 4;
-                            let hex = self
-                                .src
-                                .get(self.pos..end)
-                                .ok_or("truncated unicode escape")?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| "invalid unicode escape".to_string())?;
-                            self.pos = end;
-                            // Surrogate pairs do not occur: the writer
-                            // only \u-escapes control characters.
-                            out.push(
-                                char::from_u32(code).ok_or("invalid unicode escape".to_string())?,
-                            );
-                        }
-                        _ => return Err("invalid escape".to_string()),
-                    }
-                }
-                Some(_) => {
-                    let start = self.pos;
-                    while self
-                        .src
-                        .as_bytes()
-                        .get(self.pos)
-                        .is_some_and(|b| *b != b'"' && *b != b'\\')
-                    {
-                        self.pos += 1;
-                    }
-                    out.push_str(&self.src[start..self.pos]);
-                }
-            }
-        }
-    }
-
-    pub(crate) fn end(&mut self) -> Result<(), String> {
-        if self.pos == self.src.len() {
-            Ok(())
-        } else {
-            Err(format!("trailing bytes at {}", self.pos))
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1456,18 +1281,13 @@ mod tests {
     fn loads_legacy_single_file_journals() {
         let dir = tmp_dir("legacy");
         std::fs::create_dir_all(&dir).unwrap();
-        // Hand-write the pre-segmented format.
-        let mut text = String::from("{\"campaign\":\"scale=smoke seed=1\",\"cells\":3}\n");
-        for i in 0..2u64 {
-            let r = sample(i);
-            text.push_str(&format!("{{\"cell\":{},\"key\":", r.cell));
-            write_json_string(&mut text, &r.key);
-            text.push_str(&format!(",\"elapsed_secs\":{}", r.elapsed_secs));
-            text.push_str(",\"payload\":");
-            write_json_string(&mut text, &r.payload);
-            text.push_str("}\n");
-        }
-        std::fs::write(dir.join(JOURNAL_FILE), &text).unwrap();
+        // The pre-segmented format, byte for byte as older checkouts
+        // wrote it.
+        let text = r#"{"campaign":"scale=smoke seed=1","cells":3}
+{"cell":0,"key":"exp0","elapsed_secs":0.5,"payload":"{\"meta\":\"exp0\",\"line\":\"a\\nb · π\"}"}
+{"cell":1,"key":"exp1","elapsed_secs":1.5,"payload":"{\"meta\":\"exp1\",\"line\":\"a\\nb · π\"}"}
+"#;
+        std::fs::write(dir.join(JOURNAL_FILE), text).unwrap();
         let loaded = Journal::load(&dir).unwrap().unwrap();
         assert_eq!(loaded.manifest, "scale=smoke seed=1");
         assert_eq!(loaded.indexed, 0);
@@ -1501,11 +1321,59 @@ mod tests {
     }
 
     #[test]
-    fn escapes_survive_payload_round_trip() {
-        let mut out = String::new();
-        write_json_string(&mut out, "a\"b\\c\nd\te\u{1}π");
-        let mut p = Scanner::new(out.as_bytes()).unwrap();
-        assert_eq!(p.string().unwrap(), "a\"b\\c\nd\te\u{1}π");
-        p.end().unwrap();
+    fn loaders_reject_missing_extra_and_mistyped_fields() {
+        let record = br#"{"cell":1,"key":"k","elapsed_secs":0.5,"payload":"p"}"#;
+        assert_eq!(parse_record(record).unwrap().payload, "p");
+        for bad in [
+            r#"{"cell":1,"key":"k","elapsed_secs":0.5}"#,
+            r#"{"cell":1,"key":"k","elapsed_secs":0.5,"payload":"p","x":0}"#,
+            r#"{"cell":"1","key":"k","elapsed_secs":0.5,"payload":"p"}"#,
+            r#"{"cell":-1,"key":"k","elapsed_secs":0.5,"payload":"p"}"#,
+            r#"{"cell":1.5,"key":"k","elapsed_secs":0.5,"payload":"p"}"#,
+            r#"{"cell":1,"key":2,"elapsed_secs":0.5,"payload":"p"}"#,
+            r#"{"cell":1,"key":"k","elapsed_secs":null,"payload":"p"}"#,
+            r#"{"cell":1,"cell":1,"key":"k","elapsed_secs":0.5,"payload":"p"}"#,
+            r#"[1,"k",0.5,"p"]"#,
+        ] {
+            assert!(parse_record(bad.as_bytes()).is_err(), "{bad}");
+        }
+        assert!(parse_segment_header(br#"{"campaign":"m","cells":2,"segment":0}"#).is_ok());
+        assert!(parse_segment_header(br#"{"campaign":"m","cells":2}"#).is_err());
+        assert!(parse_legacy_header(br#"{"campaign":"m","cells":2,"segment":0}"#).is_err());
+        let header =
+            r#"{"index":"rbr-journal-v1","manifest_hash":"h","cells":1,"segment_records":4}"#;
+        assert!(parse_index_header(header.as_bytes()).is_ok());
+        let newer = header.replace("v1", "v2");
+        assert!(parse_index_header(newer.as_bytes()).is_err());
+        assert!(parse_index_line(br#"{"segment":0,"records":1,"bytes":9}"#).is_ok());
+        assert!(parse_index_line(br#"{"segment":0,"records":1}"#).is_err());
+        let cell = r#"{"cell":0,"key":"k","elapsed_secs":1,"segment":0,"offset":1,"len":2}"#;
+        assert!(parse_index_line(cell.as_bytes()).is_ok());
+        assert!(parse_index_line(cell.replace(":1,\"len", ":1.5,\"len").as_bytes()).is_err());
+    }
+
+    #[test]
+    fn segment_and_index_bytes_are_pinned() {
+        let dir = tmp_dir("pinned");
+        let mut j = Journal::create(&dir, "scale=smoke \"q\" seed=7", 2, 4).unwrap();
+        j.append(&Record {
+            cell: 1,
+            key: "fig1 \"x\"".to_string(),
+            elapsed_secs: 0.1 + 0.2,
+            payload: "{\"meta\":1,\"s\":\"a\\nb\\u0001 · π\"}\n\t\u{1}".to_string(),
+        })
+        .unwrap();
+        j.finish().unwrap();
+        let segment = std::fs::read_to_string(dir.join(segment_file(0))).unwrap();
+        let index = std::fs::read_to_string(dir.join(INDEX_FILE)).unwrap();
+        assert_eq!(
+            segment,
+            "{\"campaign\":\"scale=smoke \\\"q\\\" seed=7\",\"cells\":2,\"segment\":0}\n{\"cell\":1,\"key\":\"fig1 \\\"x\\\"\",\"elapsed_secs\":0.30000000000000004,\"payload\":\"{\\\"meta\\\":1,\\\"s\\\":\\\"a\\\\nb\\\\u0001 · π\\\"}\\n\\t\\u0001\"}\n"
+        );
+        assert_eq!(
+            index,
+            "{\"index\":\"rbr-journal-v1\",\"manifest_hash\":\"3e37f62b123716f5\",\"cells\":2,\"segment_records\":4}\n{\"cell\":1,\"key\":\"fig1 \\\"x\\\"\",\"elapsed_secs\":0.30000000000000004,\"segment\":0,\"offset\":62,\"len\":129}\n{\"segment\":0,\"records\":1,\"bytes\":191}\n"
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -51,7 +51,7 @@ use rand::rngs::StdRng;
 use rbr_simcore::{unit, Duration, SeedSequence, SimTime};
 
 /// Distribution of a message's in-flight latency.
-#[derive(Clone, Copy, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum Delay {
     /// Delivered at the send instant (the paper's assumption).
     Zero,
@@ -114,7 +114,7 @@ impl Delay {
 ///
 /// `size = 1` is the paper's per-op protocol and is treated as fully
 /// disabled: the simulator takes its original code path.
-#[derive(Clone, Copy, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct BatchSpec {
     /// Operations per transaction; 1 disables batching.
     pub size: u32,
@@ -158,7 +158,7 @@ impl BatchSpec {
 /// One scheduled cluster outage: at `down` the cluster's scheduler loses
 /// all state (queued requests evaporate, running copies are killed) and
 /// message delivery to the cluster is suspended until `recover`.
-#[derive(Clone, Copy, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Outage {
     /// Index of the affected cluster.
     pub cluster: usize,
@@ -170,7 +170,7 @@ pub struct Outage {
 
 /// Full fault configuration of one run. [`FaultSpec::default`] is the
 /// perfect middleware of the paper: no loss, no delay, no outages.
-#[derive(Clone, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct FaultSpec {
     /// Probability each submission delivery attempt is lost.
     pub submit_loss: f64,

@@ -9,7 +9,7 @@ use crate::scheme::Scheme;
 use crate::select::SelectionPolicy;
 
 /// One cluster: its size and the workload arriving at it.
-#[derive(Clone, Copy, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ClusterSpec {
     /// Number of compute nodes.
     pub nodes: u32,
@@ -31,7 +31,7 @@ impl ClusterSpec {
 }
 
 /// Full configuration of one grid simulation run.
-#[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug)]
 pub struct GridConfig {
     /// The clusters of the platform.
     pub clusters: Vec<ClusterSpec>,

@@ -4,7 +4,7 @@ use rbr_simcore::{Duration, SimTime};
 use rbr_stats::Summary;
 
 /// What happened to one job.
-#[derive(Clone, Copy, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct JobRecord {
     /// Job index within the run.
     pub job: usize,

@@ -5,7 +5,7 @@
 //! One request is always sent to the local cluster."
 
 /// How many clusters a redundant job submits to.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Scheme {
     /// No redundancy: the local cluster only (the paper's baseline).
     None,

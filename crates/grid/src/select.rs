@@ -11,7 +11,7 @@ use rand::Rng;
 use rbr_simcore::unit;
 
 /// How a redundant job picks its remote clusters.
-#[derive(Clone, Copy, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum SelectionPolicy {
     /// Uniformly at random among eligible remote clusters.
     Uniform,

@@ -6,7 +6,7 @@
 //! second — two orders of magnitude below the batch scheduler itself.
 
 /// Transaction-rate model of a grid job-submission middleware service.
-#[derive(Clone, Copy, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct GramModel {
     /// Sustained transactions per minute (a transaction is one job
     /// submission or one cancellation).

@@ -8,7 +8,7 @@
 use rbr_simcore::Duration;
 
 /// A simple store-and-forward link model.
-#[derive(Clone, Copy, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct NetworkModel {
     /// Link bandwidth in bits per second.
     pub bandwidth_bps: f64,

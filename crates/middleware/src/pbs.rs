@@ -14,7 +14,7 @@ use rbr_simcore::{Duration, SimTime};
 /// per second — the paper's Figure 5 y-axis, which counts "11 request
 /// submissions and 11 request cancellations per second" on an empty
 /// queue as the value 11.
-#[derive(Clone, Copy, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct PbsThroughputModel {
     /// Asymptotic throughput at huge queue sizes (pairs/s).
     pub floor: f64,
@@ -49,7 +49,7 @@ impl PbsThroughputModel {
 }
 
 /// One measured point of the churn experiment.
-#[derive(Clone, Copy, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ChurnPoint {
     /// Queue size the experiment was pinned at.
     pub queue_size: usize,

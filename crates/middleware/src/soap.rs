@@ -8,7 +8,7 @@
 //! processing is not the bottleneck; the full WS-GRAM stack is.
 
 /// Cost model for SOAP marshalling of batch-request messages.
-#[derive(Clone, Copy, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct GsoapModel {
     /// Benchmark transaction rate (transactions/s) at the benchmark
     /// payload size.

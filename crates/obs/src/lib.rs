@@ -29,9 +29,14 @@
 //!   time breakdown, or re-render a metrics snapshot — what `rbr obs`
 //!   serves on the command line.
 //!
+//! It also holds [`json`], the workspace's one JSON reader and writer,
+//! which reports, the journal, the cell cache and the serve wire
+//! protocol use as well as the trace and snapshots here.
+//!
 //! The crate is dependency-free (std only) so every other crate in the
 //! workspace can instrument itself without a cycle.
 
+pub mod json;
 pub mod metrics;
 pub mod report;
 pub mod trace;

@@ -20,6 +20,8 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
+use crate::json;
+
 /// Histogram bucket count: bucket 0 holds zero values, bucket `i ≥ 1`
 /// holds values in `[2^(i-1), 2^i)` — 64 value buckets cover all of
 /// `u64`.
@@ -349,15 +351,13 @@ pub fn snapshot() -> Snapshot {
     Snapshot { entries }
 }
 
-/// Formats an `f64` for snapshot output: plain decimal, finite only
-/// (non-finite gauges render as `0`, which cannot occur from the handle
-/// API but keeps the JSON valid under arbitrary bit patterns).
-fn fmt_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:?}")
-    } else {
-        "0".to_string()
-    }
+/// A gauge's text in every snapshot format: shortest round-trip `{}`,
+/// and `0` for a non-finite level (which the handle API cannot produce,
+/// but arbitrary bit patterns could).
+fn gauge_text(v: f64) -> String {
+    let mut out = String::new();
+    json::write_f64(&mut out, v, "0");
+    out
 }
 
 impl Snapshot {
@@ -368,7 +368,7 @@ impl Snapshot {
         for (name, value) in &self.entries {
             match value {
                 Value::Counter(n) => out.push_str(&format!("{name:width$}  {n}\n")),
-                Value::Gauge(v) => out.push_str(&format!("{name:width$}  {}\n", fmt_f64(*v))),
+                Value::Gauge(v) => out.push_str(&format!("{name:width$}  {}\n", gauge_text(*v))),
                 Value::Histogram {
                     count,
                     sum,
@@ -398,7 +398,7 @@ impl Snapshot {
         for (name, value) in &self.entries {
             match value {
                 Value::Counter(n) => out.push_str(&format!("{name},counter,{n}\n")),
-                Value::Gauge(v) => out.push_str(&format!("{name},gauge,{}\n", fmt_f64(*v))),
+                Value::Gauge(v) => out.push_str(&format!("{name},gauge,{}\n", gauge_text(*v))),
                 Value::Histogram {
                     count,
                     sum,
@@ -423,17 +423,16 @@ impl Snapshot {
             if i > 0 {
                 out.push(',');
             }
+            out.push_str("{\"name\":");
+            json::write_str(&mut out, name);
             match value {
                 Value::Counter(n) => {
-                    out.push_str(&format!(
-                        "{{\"name\":\"{name}\",\"kind\":\"counter\",\"value\":{n}}}"
-                    ));
+                    out.push_str(&format!(",\"kind\":\"counter\",\"value\":{n}}}"));
                 }
                 Value::Gauge(v) => {
-                    out.push_str(&format!(
-                        "{{\"name\":\"{name}\",\"kind\":\"gauge\",\"value\":{}}}",
-                        fmt_f64(*v)
-                    ));
+                    out.push_str(",\"kind\":\"gauge\",\"value\":");
+                    json::write_f64(&mut out, *v, "0");
+                    out.push('}');
                 }
                 Value::Histogram {
                     count,
@@ -441,8 +440,7 @@ impl Snapshot {
                     buckets,
                 } => {
                     out.push_str(&format!(
-                        "{{\"name\":\"{name}\",\"kind\":\"histogram\",\"count\":{count},\
-                         \"sum\":{sum},\"buckets\":["
+                        ",\"kind\":\"histogram\",\"count\":{count},\"sum\":{sum},\"buckets\":["
                     ));
                     for (j, (floor, n)) in buckets.iter().enumerate() {
                         if j > 0 {

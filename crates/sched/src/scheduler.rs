@@ -80,7 +80,7 @@ pub trait Scheduler {
 }
 
 /// The three algorithms evaluated in the paper (Table 1).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Algorithm {
     /// First-Come-First-Serve, no backfilling.
     Fcfs,

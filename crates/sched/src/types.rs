@@ -4,9 +4,7 @@ use rbr_simcore::{Duration, SimTime};
 
 /// Globally unique identifier of one request (one copy of a job at one
 /// cluster — a job using `r` redundant requests owns `r` distinct ids).
-#[derive(
-    Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct RequestId(pub u64);
 
 impl std::fmt::Display for RequestId {
@@ -18,7 +16,7 @@ impl std::fmt::Display for RequestId {
 /// What a batch scheduler knows about a request: node count, *requested*
 /// compute time, and submission instant. The actual runtime is invisible
 /// to the scheduler — it only learns it when the completion event fires.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Request {
     /// Unique id of this request.
     pub id: RequestId,

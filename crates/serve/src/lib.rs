@@ -8,7 +8,8 @@
 //! constructive counterpart: a std-only socket service (no async
 //! runtime) that
 //!
-//! * frames requests as length-prefixed JSON ([`wire`], [`json`]);
+//! * frames requests as length-prefixed JSON ([`wire`]), written and
+//!   read with the workspace's one codec, [`rbr_obs::json`];
 //! * coalesces admitted operations into size- or deadline-triggered
 //!   transactions ([`batcher`] — the live twin of the simulator's
 //!   `BatchedSubmit` protocol);
@@ -29,7 +30,6 @@
 pub mod admission;
 pub mod batcher;
 pub mod clock;
-pub mod json;
 pub mod loadgen;
 pub mod server;
 pub mod wire;

@@ -7,7 +7,7 @@
 //! frame boundaries; the newline keeps captures greppable and makes a
 //! torn frame detectable.
 
-use crate::json::Json;
+use rbr_obs::json::{self, Json};
 
 /// Upper bound on a single frame payload; anything larger is a protocol
 /// error, not a buffering request.
@@ -119,16 +119,16 @@ impl Request {
                 runtime_secs,
             } => Json::obj(vec![
                 ("type", Json::Str("submit".to_string())),
-                ("id", Json::Num(*id as f64)),
-                ("arrival", Json::Num(*arrival_secs)),
-                ("nodes", Json::Num(f64::from(*nodes))),
-                ("runtime", Json::Num(*runtime_secs)),
+                ("id", Json::int(*id)),
+                ("arrival", Json::num(*arrival_secs)),
+                ("nodes", Json::int(u64::from(*nodes))),
+                ("runtime", Json::num(*runtime_secs)),
             ])
             .render(),
             Request::Cancel { id, arrival_secs } => Json::obj(vec![
                 ("type", Json::Str("cancel".to_string())),
-                ("id", Json::Num(*id as f64)),
-                ("arrival", Json::Num(*arrival_secs)),
+                ("id", Json::int(*id)),
+                ("arrival", Json::num(*arrival_secs)),
             ])
             .render(),
             Request::Drain => Json::obj(vec![("type", Json::Str("drain".to_string()))]).render(),
@@ -137,31 +137,17 @@ impl Request {
 
     /// Parses a JSON document into a request.
     pub fn from_json(text: &str) -> Result<Request, String> {
-        let v = Json::parse(text)?;
-        let kind = v
-            .get("type")
-            .and_then(Json::as_str)
-            .ok_or("request missing \"type\"")?;
-        let num = |key: &str| {
-            v.get(key)
-                .and_then(Json::as_f64)
-                .ok_or_else(|| format!("request missing numeric {key:?}"))
-        };
-        let id = |key: &str| {
-            v.get(key)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("request missing integer {key:?}"))
-        };
-        match kind {
+        let v = json::parse(text)?;
+        match v.field("type", Json::as_str)? {
             "submit" => Ok(Request::Submit {
-                id: id("id")?,
-                arrival_secs: num("arrival")?,
-                nodes: id("nodes")? as u32,
-                runtime_secs: num("runtime")?,
+                id: v.field("id", Json::as_u64)?,
+                arrival_secs: v.field("arrival", Json::as_f64)?,
+                nodes: u32_field(&v, "nodes")?,
+                runtime_secs: v.field("runtime", Json::as_f64)?,
             }),
             "cancel" => Ok(Request::Cancel {
-                id: id("id")?,
-                arrival_secs: num("arrival")?,
+                id: v.field("id", Json::as_u64)?,
+                arrival_secs: v.field("arrival", Json::as_f64)?,
             }),
             "drain" => Ok(Request::Drain),
             other => Err(format!("unknown request type {other:?}")),
@@ -180,16 +166,16 @@ impl Response {
                 txn,
             } => Json::obj(vec![
                 ("type", Json::Str("ack".to_string())),
-                ("id", Json::Num(*id as f64)),
-                ("redundancy", Json::Num(f64::from(*redundancy))),
+                ("id", Json::int(*id)),
+                ("redundancy", Json::int(u64::from(*redundancy))),
                 ("verdict", Json::Str(verdict.as_str().to_string())),
-                ("txn", Json::Num(*txn as f64)),
+                ("txn", Json::int(*txn)),
             ])
             .render(),
             Response::CancelAck { id, txn } => Json::obj(vec![
                 ("type", Json::Str("cancel-ack".to_string())),
-                ("id", Json::Num(*id as f64)),
-                ("txn", Json::Num(*txn as f64)),
+                ("id", Json::int(*id)),
+                ("txn", Json::int(*txn)),
             ])
             .render(),
             Response::Drained {
@@ -199,10 +185,10 @@ impl Response {
                 shed,
             } => Json::obj(vec![
                 ("type", Json::Str("drained".to_string())),
-                ("submits", Json::Num(*submits as f64)),
-                ("acks", Json::Num(*acks as f64)),
-                ("transactions", Json::Num(*transactions as f64)),
-                ("shed", Json::Num(*shed as f64)),
+                ("submits", Json::int(*submits)),
+                ("acks", Json::int(*acks)),
+                ("transactions", Json::int(*transactions)),
+                ("shed", Json::int(*shed)),
             ])
             .render(),
         }
@@ -210,40 +196,33 @@ impl Response {
 
     /// Parses a JSON document into a response.
     pub fn from_json(text: &str) -> Result<Response, String> {
-        let v = Json::parse(text)?;
-        let kind = v
-            .get("type")
-            .and_then(Json::as_str)
-            .ok_or("response missing \"type\"")?;
-        let id = |key: &str| {
-            v.get(key)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("response missing integer {key:?}"))
-        };
-        match kind {
+        let v = json::parse(text)?;
+        let int = |key| v.field(key, Json::as_u64);
+        match v.field("type", Json::as_str)? {
             "ack" => Ok(Response::Ack {
-                id: id("id")?,
-                redundancy: id("redundancy")? as u32,
-                verdict: v
-                    .get("verdict")
-                    .and_then(Json::as_str)
-                    .and_then(Verdict::parse)
-                    .ok_or("bad verdict")?,
-                txn: id("txn")?,
+                id: int("id")?,
+                redundancy: u32_field(&v, "redundancy")?,
+                verdict: Verdict::parse(v.field("verdict", Json::as_str)?).ok_or("bad verdict")?,
+                txn: int("txn")?,
             }),
             "cancel-ack" => Ok(Response::CancelAck {
-                id: id("id")?,
-                txn: id("txn")?,
+                id: int("id")?,
+                txn: int("txn")?,
             }),
             "drained" => Ok(Response::Drained {
-                submits: id("submits")?,
-                acks: id("acks")?,
-                transactions: id("transactions")?,
-                shed: id("shed")?,
+                submits: int("submits")?,
+                acks: int("acks")?,
+                transactions: int("transactions")?,
+                shed: int("shed")?,
             }),
             other => Err(format!("unknown response type {other:?}")),
         }
     }
+}
+
+/// The unsigned integer at `key`, which must fit a `u32`.
+fn u32_field(v: &Json, key: &str) -> Result<u32, String> {
+    u32::try_from(v.field(key, Json::as_u64)?).map_err(|_| format!("{key:?} out of range"))
 }
 
 /// Wraps a JSON document in a `<len>:<json>\n` frame.
@@ -361,6 +340,93 @@ mod tests {
         ] {
             assert_eq!(Response::from_json(&resp.to_json()).unwrap(), resp);
         }
+    }
+
+    #[test]
+    fn wire_bytes_are_pinned() {
+        // Admission logs and the benchmark's ack digests depend on these
+        // exact bytes: sorted keys, integer ids, shortest floats.
+        let requests = [
+            Request::Submit {
+                id: 4_503_599_627_370_497,
+                arrival_secs: 0.1 + 0.2,
+                nodes: 32,
+                runtime_secs: 600.0,
+            },
+            Request::Cancel {
+                id: 7,
+                arrival_secs: 1e21,
+            },
+            Request::Drain,
+        ];
+        let responses = [
+            Response::Ack {
+                id: 7,
+                redundancy: 3,
+                verdict: Verdict::Redundant,
+                txn: 11,
+            },
+            Response::Ack {
+                id: 8,
+                redundancy: 1,
+                verdict: Verdict::Single,
+                txn: 12,
+            },
+            Response::Ack {
+                id: 9,
+                redundancy: 0,
+                verdict: Verdict::Shed,
+                txn: 0,
+            },
+            Response::CancelAck { id: 7, txn: 12 },
+            Response::Drained {
+                submits: 100,
+                acks: 130,
+                transactions: 13,
+                shed: 4,
+            },
+        ];
+        let text: Vec<String> = requests
+            .iter()
+            .map(Request::to_json)
+            .chain(responses.iter().map(Response::to_json))
+            .collect();
+        assert_eq!(
+            text,
+            [
+                "{\"arrival\":0.30000000000000004,\"id\":4503599627370497,\"nodes\":32,\"runtime\":600,\"type\":\"submit\"}",
+                "{\"arrival\":1000000000000000000000,\"id\":7,\"type\":\"cancel\"}",
+                "{\"type\":\"drain\"}",
+                "{\"id\":7,\"redundancy\":3,\"txn\":11,\"type\":\"ack\",\"verdict\":\"redundant\"}",
+                "{\"id\":8,\"redundancy\":1,\"txn\":12,\"type\":\"ack\",\"verdict\":\"single\"}",
+                "{\"id\":9,\"redundancy\":0,\"txn\":0,\"type\":\"ack\",\"verdict\":\"shed\"}",
+                "{\"id\":7,\"txn\":12,\"type\":\"cancel-ack\"}",
+                "{\"acks\":130,\"shed\":4,\"submits\":100,\"transactions\":13,\"type\":\"drained\"}",
+            ]
+        );
+    }
+
+    #[test]
+    fn ids_and_counts_are_exact_at_any_size() {
+        let req = Request::Cancel {
+            id: u64::MAX,
+            arrival_secs: 0.5,
+        };
+        assert_eq!(Request::from_json(&req.to_json()).unwrap(), req);
+        let too_many_nodes =
+            "{\"arrival\":1,\"id\":1,\"nodes\":4294967296,\"runtime\":1,\"type\":\"submit\"}";
+        assert!(Request::from_json(too_many_nodes).is_err());
+    }
+
+    #[test]
+    fn hostile_nesting_is_an_error_not_a_stack_overflow() {
+        // A client may send a whole frame of '['; a parser that recursed
+        // once per bracket would overflow the stack.
+        let frame = "[".repeat(MAX_FRAME);
+        let parsed = std::thread::spawn(move || Request::from_json(&frame).is_err())
+            .join()
+            .expect("parser thread survived");
+        assert!(parsed);
     }
 
     #[test]

@@ -8,7 +8,7 @@ use std::fmt;
 /// [merged](Summary::merge) (Chan et al.'s parallel variant), which is how
 /// per-replication results computed as parallel `rbr-exec` cells are
 /// combined.
-#[derive(Clone, Copy, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Summary {
     n: u64,
     mean: f64,

@@ -17,7 +17,7 @@ use crate::lublin::LublinModel;
 
 /// Relative arrival-rate weight for each hour of the day (1 = the
 /// peak-hour rate).
-#[derive(Clone, Copy, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct DailyCycle {
     /// Weight per hour of day; each must be in `(0, 1]`.
     pub weights: [f64; 24],

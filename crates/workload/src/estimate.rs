@@ -12,7 +12,7 @@ use rbr_simcore::{unit, Duration};
 
 /// A model mapping a job's actual runtime to the compute time its user
 /// requests.
-#[derive(Clone, Copy, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum EstimateModel {
     /// Requests exactly the runtime ("Exact Estimates").
     Exact,

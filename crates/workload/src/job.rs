@@ -5,7 +5,7 @@ use rbr_simcore::{Duration, SimTime};
 /// A job before it enters the grid: when it arrives, how many nodes it
 /// needs, how long it actually runs, and how long the user *claims* it
 /// will run.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct JobSpec {
     /// Submission instant at the job's home cluster.
     pub arrival: SimTime,

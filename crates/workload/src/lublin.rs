@@ -31,7 +31,7 @@ use crate::estimate::EstimateModel;
 use crate::job::JobSpec;
 
 /// All constants of the Lublin workload model.
-#[derive(Clone, Copy, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct LublinConfig {
     /// Shape α of the Gamma interarrival distribution.
     pub interarrival_shape: f64,
