@@ -1,9 +1,9 @@
 //! Regenerates the beyond-the-paper extension studies (statistical
 //! forecasting, moldable shape redundancy, dual-queue racing) and times
-//! their kernels.
+//! a moldable run. The forecaster's per-decision cost is a column of
+//! `BENCH_kernel.json` (`kernels.rs`).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use rbr::forecast::QuantilePredictor;
 use rbr::sim::SeedSequence;
 use rbr_bench::regenerate;
 
@@ -13,15 +13,6 @@ fn bench(c: &mut Criterion) {
     regenerate("dual-queue");
 
     let mut group = c.benchmark_group("extensions");
-    // Kernel: one binomial quantile-bound prediction over a full window.
-    let mut predictor = QuantilePredictor::qbets_default();
-    let mut rng_state = 0x9E3779B97F4A7C15u64;
-    for _ in 0..512 {
-        rng_state = rng_state.wrapping_mul(6364136223846793005).wrapping_add(1);
-        predictor.observe((rng_state >> 40) as f64);
-    }
-    group.bench_function("binomial_bound_512_obs", |b| b.iter(|| predictor.predict()));
-
     // Kernel: one 20-minute moldable run.
     group.sample_size(10);
     let mut cfg =

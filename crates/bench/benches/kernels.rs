@@ -11,6 +11,7 @@ use std::time::Instant;
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rbr::dist::{Gamma, HyperGamma, Sample};
+use rbr::forecast::QuantilePredictor;
 use rbr::sched::{Algorithm, CbfScheduler, Profile, Request, RequestId, Scheduler};
 use rbr::sim::{Duration, EventQueue, QueueKind, SeedSequence, SimTime};
 use rbr_bench::print_artifact;
@@ -101,6 +102,34 @@ fn cbf_compression_burst(queue_depth: u64) -> usize {
     starts.len() + s.queue_len()
 }
 
+/// A forecaster with a full window of pseudo-random waits, as
+/// admission holds it after its first 512 decisions.
+fn full_forecaster() -> QuantilePredictor {
+    let mut p = QuantilePredictor::qbets_default();
+    let mut x = 0x9e37_79b9_7f4a_7c15u64;
+    for _ in 0..512 {
+        x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+        p.observe((x >> 40) as f64);
+    }
+    p
+}
+
+/// What admission pays the forecaster per decision: one `observe` and
+/// one `predict` on a full window, `decisions` times.
+fn forecast_observe_predict(full: &QuantilePredictor, decisions: u64) -> u64 {
+    let mut p = full.clone();
+    let mut x = 0x2545_f491_4f6c_dd1du64;
+    let mut acc = 0u64;
+    for _ in 0..decisions {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        p.observe((x >> 40) as f64);
+        acc = acc.wrapping_add(p.predict().map_or(1, f64::to_bits));
+    }
+    acc
+}
+
 /// Times `f` as ns per inner item: best of `reps` runs of `per_run`
 /// items each (minimum filters scheduler noise on a busy host).
 fn time_ns_per<F: FnMut() -> u64>(reps: u32, per_run: u64, mut f: F) -> f64 {
@@ -116,7 +145,7 @@ fn time_ns_per<F: FnMut() -> u64>(reps: u32, per_run: u64, mut f: F) -> f64 {
     best
 }
 
-/// Self-timed numbers for the three hot kernels, written to
+/// Self-timed numbers for the four hot kernels, written to
 /// `BENCH_kernel.json` at the repository root.
 fn record_kernels() {
     const EVENTS: u64 = 200_000;
@@ -129,11 +158,16 @@ fn record_kernels() {
     const DEPTH: u64 = 400;
     let compress = time_ns_per(5, DEPTH, || cbf_compression_burst(DEPTH) as u64);
 
+    const DECISIONS: u64 = 20_000;
+    let full = full_forecaster();
+    let forecast = time_ns_per(5, DECISIONS, || forecast_observe_predict(&full, DECISIONS));
+
     let body = format!(
         "{{\"event_queue_pop_push_ns\":{{\"heap\":{heap:.1},\"calendar\":{calendar:.1},\
          \"calendar_vs_heap\":{:.3}}},\
          \"earliest_fit_fragmented_ns\":{fit:.1},\
-         \"cbf_compression_ns_per_queued\":{compress:.1}}}\n",
+         \"cbf_compression_ns_per_queued\":{compress:.1},\
+         \"forecast_observe_predict_ns\":{forecast:.1}}}\n",
         heap / calendar.max(1e-9),
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_kernel.json");

@@ -11,12 +11,22 @@
 use std::collections::VecDeque;
 
 /// Sliding-window binomial quantile-bound predictor.
+///
+/// The window is kept twice: in arrival order, to know which wait to
+/// evict, and sorted, so a prediction is one index. Equal waits (`0.0`
+/// and `-0.0` among them) sit in the sorted copy in arrival order, the
+/// order a stable sort of the window would give: the oldest is evicted
+/// from the front of its run of equals and a new wait joins at the back.
 #[derive(Clone, Debug)]
 pub struct QuantilePredictor {
     quantile: f64,
     confidence: f64,
     capacity: usize,
     history: VecDeque<f64>,
+    sorted: Vec<f64>,
+    /// The bound's 1-based order statistic at the current window
+    /// length; `None` while no order statistic reaches the confidence.
+    rank: Option<usize>,
 }
 
 impl QuantilePredictor {
@@ -42,6 +52,8 @@ impl QuantilePredictor {
             confidence,
             capacity,
             history: VecDeque::new(),
+            sorted: Vec::new(),
+            rank: None,
         }
     }
 
@@ -61,9 +73,20 @@ impl QuantilePredictor {
             "waits must be finite and non-negative, got {wait_secs}"
         );
         if self.history.len() == self.capacity {
-            self.history.pop_front();
+            let old = self.history.pop_front().expect("a full window");
+            let at = self.sorted.partition_point(|&x| x < old);
+            self.sorted.remove(at);
+        } else {
+            let n = self.history.len() + 1;
+            self.rank = if n < self.min_observations() {
+                None
+            } else {
+                smallest_k(n, self.quantile, self.confidence)
+            };
         }
         self.history.push_back(wait_secs);
+        let at = self.sorted.partition_point(|&x| x <= wait_secs);
+        self.sorted.insert(at, wait_secs);
     }
 
     /// Number of observations currently in the window.
@@ -85,17 +108,10 @@ impl QuantilePredictor {
     }
 
     /// The current upper bound on the target quantile of the next wait,
-    /// or `None` if the window is still too small for the requested
-    /// confidence.
+    /// or `None` if no order statistic of the window reaches the
+    /// requested confidence.
     pub fn predict(&self) -> Option<f64> {
-        let n = self.history.len();
-        if n < self.min_observations() {
-            return None;
-        }
-        let mut sorted: Vec<f64> = self.history.iter().copied().collect();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("observations are finite"));
-        let k = smallest_k(n, self.quantile, self.confidence)?;
-        Some(sorted[k - 1])
+        self.rank.map(|k| self.sorted[k - 1])
     }
 }
 
@@ -103,9 +119,11 @@ impl QuantilePredictor {
 /// i.e. the k-th order statistic upper-bounds the q-quantile with the
 /// requested confidence. `None` if even `k = n` does not reach it.
 fn smallest_k(n: usize, q: f64, confidence: f64) -> Option<usize> {
-    // Walk the binomial CDF with the standard recurrence; all in linear
-    // space (n ≤ a few thousand, probabilities well-conditioned because
-    // we stop as soon as the CDF crosses the confidence).
+    // Walk the binomial CDF with the standard recurrence in linear
+    // space, stopping as soon as it crosses the confidence. The walk
+    // starts from P[X = 0] = (1 − q)^n, which underflows for long
+    // windows: at q = 0.95 it is subnormal at n = 248 and zero from
+    // n = 249 on, and no bound exists from n = 248.
     let mut pmf = (1.0 - q).powi(n as i32); // P[X = 0]
     let mut cdf = pmf;
     if cdf >= confidence {
@@ -129,6 +147,57 @@ fn smallest_k(n: usize, q: f64, confidence: f64) -> Option<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The computation the sorted window replaces: copy the window,
+    /// stable-sort it and take the order statistic the binomial CDF
+    /// picks.
+    fn stable_sort_bound(p: &QuantilePredictor, window: &VecDeque<f64>) -> Option<f64> {
+        let n = window.len();
+        if n < p.min_observations() {
+            return None;
+        }
+        let mut sorted: Vec<f64> = window.iter().copied().collect();
+        sorted.sort_by(|a, b| a.partial_cmp(b).expect("observations are finite"));
+        let k = smallest_k(n, p.quantile, p.confidence)?;
+        Some(sorted[k - 1])
+    }
+
+    /// Waits are drawn from the first `span` of these, so ties are
+    /// common; `0.0` and `-0.0` compare equal but differ in their bits,
+    /// and with `span = 2` every bound is one of them.
+    const TIED_WAITS: [f64; 6] = [0.0, -0.0, 0.5, 1.0, 7.0, 3_600.0];
+
+    proptest! {
+        /// After every observation, `predict` returns the bits the
+        /// stable sort of the window gives, through the warm-up, the
+        /// window lengths with and without a bound, and three or more
+        /// wraps of the window.
+        #[test]
+        fn sorted_window_matches_a_stable_sort(
+            capacity in 0usize..5,
+            params in 0usize..3,
+            span in 2usize..=TIED_WAITS.len(),
+            picks in prop::collection::vec(0usize..TIED_WAITS.len(), 3 * 512..=4 * 512),
+        ) {
+            let capacity = [1, 2, 59, 64, 512][capacity];
+            let (q, c) = [(0.95, 0.95), (0.9, 0.9), (0.5, 0.8)][params];
+            let mut p = QuantilePredictor::new(q, c, capacity);
+            let mut window = VecDeque::new();
+            for pick in picks {
+                let w = TIED_WAITS[pick % span];
+                p.observe(w);
+                if window.len() == capacity {
+                    window.pop_front();
+                }
+                window.push_back(w);
+                prop_assert_eq!(
+                    p.predict().map(f64::to_bits),
+                    stable_sort_bound(&p, &window).map(f64::to_bits)
+                );
+            }
+        }
+    }
 
     #[test]
     fn smallest_k_matches_hand_computation() {

@@ -236,9 +236,15 @@ pub fn encode_frame(json: &str) -> Vec<u8> {
 }
 
 /// Incremental frame decoder over a byte stream.
+///
+/// Framed bytes stay in the buffer behind a read cursor until the next
+/// [`extend`](FrameReader::extend) drops them all at once, so draining
+/// many frames from one read takes time linear in its bytes.
 #[derive(Debug, Default)]
 pub struct FrameReader {
     buf: Vec<u8>,
+    /// Bytes at the front of `buf` already returned as frames.
+    consumed: usize,
 }
 
 impl FrameReader {
@@ -249,28 +255,31 @@ impl FrameReader {
 
     /// Appends raw bytes read from the transport.
     pub fn extend(&mut self, bytes: &[u8]) {
+        self.buf.drain(..self.consumed);
+        self.consumed = 0;
         self.buf.extend_from_slice(bytes);
     }
 
     /// Bytes buffered but not yet framed (non-zero after EOF = torn
     /// frame).
     pub fn buffered(&self) -> usize {
-        self.buf.len()
+        self.buf.len() - self.consumed
     }
 
     /// Extracts the next complete frame's JSON payload, or `None` if
     /// more bytes are needed. A malformed prefix is a hard error.
     pub fn next_frame(&mut self) -> Result<Option<String>, String> {
-        let colon = match self.buf.iter().position(|&b| b == b':') {
+        let buf = &self.buf[self.consumed..];
+        let colon = match buf.iter().position(|&b| b == b':') {
             Some(i) => i,
             None => {
-                if self.buf.len() > 20 {
+                if buf.len() > 20 {
                     return Err("frame prefix too long".to_string());
                 }
                 return Ok(None);
             }
         };
-        let prefix = std::str::from_utf8(&self.buf[..colon]).map_err(|e| e.to_string())?;
+        let prefix = std::str::from_utf8(&buf[..colon]).map_err(|e| e.to_string())?;
         let len: usize = prefix
             .parse()
             .map_err(|e| format!("bad frame length {prefix:?}: {e}"))?;
@@ -278,16 +287,16 @@ impl FrameReader {
             return Err(format!("frame of {len} bytes exceeds {MAX_FRAME}"));
         }
         let total = colon + 1 + len + 1; // prefix, ':', payload, '\n'
-        if self.buf.len() < total {
+        if buf.len() < total {
             return Ok(None);
         }
-        if self.buf[total - 1] != b'\n' {
+        if buf[total - 1] != b'\n' {
             return Err("frame missing trailing newline".to_string());
         }
-        let payload = std::str::from_utf8(&self.buf[colon + 1..total - 1])
+        let payload = std::str::from_utf8(&buf[colon + 1..total - 1])
             .map_err(|e| e.to_string())?
             .to_string();
-        self.buf.drain(..total);
+        self.consumed += total;
         Ok(Some(payload))
     }
 }
@@ -473,5 +482,33 @@ mod tests {
         reader.extend(b"10:{\"a\"");
         assert_eq!(reader.next_frame().unwrap(), None);
         assert!(reader.buffered() > 0);
+    }
+
+    /// A socket parser must never go quadratic: 4 MiB of frames handed
+    /// over in one read drain in linear time, even in a debug build.
+    #[test]
+    fn many_frames_from_one_read_drain_in_linear_time() {
+        let json = Request::Submit {
+            id: 42,
+            arrival_secs: 1234.5,
+            nodes: 16,
+            runtime_secs: 3600.0,
+        }
+        .to_json();
+        let frame = encode_frame(&json);
+        let count = (4 << 20) / frame.len() + 1;
+        let stream = frame.repeat(count);
+        let mut reader = FrameReader::new();
+        let started = std::time::Instant::now();
+        reader.extend(&stream);
+        let mut frames = 0;
+        while let Some(payload) = reader.next_frame().unwrap() {
+            assert_eq!(payload, json);
+            frames += 1;
+        }
+        let secs = started.elapsed().as_secs_f64();
+        assert_eq!(frames, count);
+        assert_eq!(reader.buffered(), 0);
+        assert!(secs < 2.0, "4 MiB of frames took {secs:.2} s to drain");
     }
 }
