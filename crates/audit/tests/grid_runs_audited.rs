@@ -43,6 +43,17 @@ fn every_grid_protocol_passes_a_full_audit() {
         }
     }
 
+    // CBF with exact estimates puts reservations on running jobs'
+    // requested ends, which are their completion instants: a submit
+    // handled at such an instant, before the completion, once started a
+    // reservation on nodes still held (the benchmark README's finding 1,
+    // whose reproducer this is).
+    let mut cfg = GridConfig::homogeneous(5, Scheme::Half);
+    cfg.algorithm = Algorithm::Cbf;
+    cfg.window = Duration::from_secs(5_400.0);
+    let _ = GridSim::execute(cfg, SeedSequence::new(3).child(27).child(2));
+    assert_clean("cbf half5 exact estimates, same-instant start");
+
     // The reservation-based predictor path (CBF + prediction collection).
     let mut cfg = GridConfig::homogeneous(2, Scheme::R(2));
     cfg.algorithm = Algorithm::Cbf;

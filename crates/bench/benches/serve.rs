@@ -123,7 +123,7 @@ fn bench(c: &mut Criterion) {
                 .next_frame()
                 .expect("well-formed frame")
                 .expect("complete frame");
-            Request::from_json(&payload).expect("well-formed request")
+            Request::from_json(payload).expect("well-formed request")
         })
     });
     group.finish();

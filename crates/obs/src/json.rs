@@ -4,23 +4,28 @@
 //! serve wire protocol, experiment reports, the campaign journal, its
 //! index and the cell cache, trace records and metric snapshots.
 //!
-//! Writing comes in two forms. A [`Json`] tree renders with its object
-//! keys sorted ([`Json::render`]), the canonical form of the wire.
-//! Streamed lines (reports, journal and cache lines, trace records,
-//! snapshots) are assembled by their callers in a fixed key order with
-//! [`write_str`] and [`write_f64`]. Floats use Rust's shortest
+//! Writers assemble their documents key by key, in a fixed order, with
+//! [`write_str`] and [`write_f64`]: the wire's requests and responses
+//! (keys sorted, the wire's canonical form), reports, journal and cache
+//! lines, trace records and snapshots. Floats use Rust's shortest
 //! round-trip `{}` text, so a value reparses to the same bits. JSON has
 //! no NaN or infinity, so only finite numbers are written: each caller
 //! names the text that stands in for a non-finite value.
 //!
-//! [`parse`] reads any JSON document. It scans strings in one linear
-//! pass, decodes surrogate pairs, and keeps every number as its source
-//! token, so a `u64` above 2^53 and the spelling `3` versus `3.0`
-//! survive until a caller picks a type. It refuses documents nested
-//! deeper than [`MAX_DEPTH`], so hostile input gets an `Err`, never a
-//! stack overflow.
+//! [`parse`] reads any JSON document into a read-only [`Json`] tree. It
+//! scans strings in one linear pass, decodes surrogate pairs, and keeps
+//! every number as its source token, so a `u64` above 2^53 and the
+//! spelling `3` versus `3.0` survive until a caller picks a type. It
+//! refuses documents nested deeper than [`MAX_DEPTH`], so hostile input
+//! gets an `Err`, never a stack overflow. [`read_fields`] runs the same
+//! parser over a document's top-level object but keeps only the fields
+//! a caller names, borrowed from the text where they lie: the serve
+//! wire reads every message this way, allocating nothing for a
+//! canonical frame.
 
+use std::borrow::Cow;
 use std::collections::btree_map::{BTreeMap, Entry};
+use std::collections::BTreeSet;
 use std::fmt::Write as _;
 
 /// The deepest nesting of arrays and objects [`parse`] accepts. The
@@ -40,31 +45,11 @@ pub enum Json {
     Str(String),
     /// An array.
     Arr(Vec<Json>),
-    /// An object. Keys are kept sorted, so [`Json::render`] is
-    /// canonical whatever the insertion order.
+    /// An object, keyed by name.
     Obj(BTreeMap<String, Json>),
 }
 
 impl Json {
-    /// Builds an object from key/value pairs.
-    pub fn obj(pairs: Vec<(&str, Json)>) -> Json {
-        Json::Obj(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
-    }
-
-    /// An unsigned integer, exact at any size.
-    pub fn int(n: u64) -> Json {
-        Json::Num(n.to_string())
-    }
-
-    /// A float in shortest round-trip text; a non-finite `x` is `null`.
-    pub fn num(x: f64) -> Json {
-        if x.is_finite() {
-            Json::Num(x.to_string())
-        } else {
-            Json::Null
-        }
-    }
-
     /// Looks a key up in an object.
     pub fn get(&self, key: &str) -> Option<&Json> {
         match self {
@@ -116,7 +101,7 @@ impl Json {
     /// The value as a finite float, if it is a number in `f64` range.
     pub fn as_f64(&self) -> Option<f64> {
         match self {
-            Json::Num(token) => token.parse::<f64>().ok().filter(|x| x.is_finite()),
+            Json::Num(token) => token_f64(token),
             _ => None,
         }
     }
@@ -124,49 +109,59 @@ impl Json {
     /// The value as an unsigned integer, if its token is one.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            Json::Num(token) => token.parse().ok(),
+            Json::Num(token) => token_u64(token),
+            _ => None,
+        }
+    }
+}
+
+/// A top-level field's value as [`read_fields`] found it: strings and
+/// numbers borrowed from the document, anything else parsed whole.
+#[derive(Clone, Debug, PartialEq)]
+pub enum Token<'a> {
+    /// A string, borrowed unless it had escapes to decode.
+    Str(Cow<'a, str>),
+    /// A number, as its source token.
+    Num(&'a str),
+    /// `null`, `true`, `false`, an array or an object.
+    Tree(Json),
+}
+
+impl Token<'_> {
+    /// The value as a string slice, if it is one.
+    pub fn as_str(&self) -> Option<&str> {
+        match self {
+            Token::Str(s) => Some(s),
             _ => None,
         }
     }
 
-    /// Renders the value as compact JSON with sorted object keys.
-    pub fn render(&self) -> String {
-        // One allocation covers a wire document (under 128 bytes).
-        let mut out = String::with_capacity(128);
-        self.write(&mut out);
-        out
-    }
-
-    fn write(&self, out: &mut String) {
+    /// The value as a finite float, by [`Json::as_f64`]'s rule.
+    pub fn as_f64(&self) -> Option<f64> {
         match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Num(token) => out.push_str(token),
-            Json::Str(s) => write_str(out, s),
-            Json::Arr(items) => {
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    item.write(out);
-                }
-                out.push(']');
-            }
-            Json::Obj(map) => {
-                out.push('{');
-                for (i, (k, v)) in map.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    write_str(out, k);
-                    out.push(':');
-                    v.write(out);
-                }
-                out.push('}');
-            }
+            Token::Num(token) => token_f64(token),
+            _ => None,
         }
     }
+
+    /// The value as an unsigned integer, by [`Json::as_u64`]'s rule.
+    pub fn as_u64(&self) -> Option<u64> {
+        match self {
+            Token::Num(token) => token_u64(token),
+            _ => None,
+        }
+    }
+}
+
+/// A number token as a finite float: exact to the nearest `f64`, and
+/// `None` out of range.
+fn token_f64(token: &str) -> Option<f64> {
+    token.parse::<f64>().ok().filter(|x| x.is_finite())
+}
+
+/// A number token as an unsigned integer: `None` unless it is one.
+fn token_u64(token: &str) -> Option<u64> {
+    token.parse().ok()
 }
 
 /// Appends `s` as a JSON string literal, quotes included.
@@ -209,17 +204,28 @@ pub fn write_f64(out: &mut String, x: f64, non_finite: &str) {
 /// Parses one JSON document. Trailing bytes other than whitespace are
 /// an error.
 pub fn parse(text: &str) -> Result<Json, String> {
-    let mut p = Parser {
-        src: text,
-        pos: 0,
-        depth: 0,
-    };
+    let mut p = Parser::new(text);
     let value = p.value()?;
-    p.skip_ws();
-    if p.pos != text.len() {
-        return Err(p.err("trailing characters after the document"));
-    }
+    p.end()?;
     Ok(value)
+}
+
+/// Reads a document whose top level is an object, keeping the value of
+/// each key in `keys` in the slot of the same index (`None` if absent).
+///
+/// It accepts exactly the documents [`parse`] accepts, less those whose
+/// top level is not an object: other fields are checked and skipped, a
+/// repeated key is an error, nested values count the object as their
+/// first level of [`MAX_DEPTH`], and trailing bytes are an error.
+pub fn read_fields<'a, const N: usize>(
+    text: &'a str,
+    keys: [&str; N],
+) -> Result<[Option<Token<'a>>; N], String> {
+    let mut p = Parser::new(text);
+    p.skip_ws();
+    let slots = p.nested(|p| p.fields(&keys))?;
+    p.end()?;
+    Ok(slots)
 }
 
 struct Parser<'a> {
@@ -228,7 +234,15 @@ struct Parser<'a> {
     depth: usize,
 }
 
-impl Parser<'_> {
+impl<'a> Parser<'a> {
+    fn new(src: &'a str) -> Self {
+        Parser {
+            src,
+            pos: 0,
+            depth: 0,
+        }
+    }
+
     fn err(&self, msg: &str) -> String {
         format!("{msg} at byte {}", self.pos)
     }
@@ -240,6 +254,16 @@ impl Parser<'_> {
     fn skip_ws(&mut self) {
         while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
             self.pos += 1;
+        }
+    }
+
+    /// Checks that only whitespace follows the document.
+    fn end(&mut self) -> Result<(), String> {
+        self.skip_ws();
+        if self.pos == self.src.len() {
+            Ok(())
+        } else {
+            Err(self.err("trailing characters after the document"))
         }
     }
 
@@ -274,6 +298,16 @@ impl Parser<'_> {
         }
     }
 
+    /// One value as a [`Token`]: strings and numbers stay borrowed.
+    fn token(&mut self) -> Result<Token<'a>, String> {
+        self.skip_ws();
+        match self.peek() {
+            Some(b'"') => self.str_token().map(Token::Str),
+            Some(b'-' | b'0'..=b'9') => self.num_token().map(Token::Num),
+            _ => self.value().map(Token::Tree),
+        }
+    }
+
     fn literal(&mut self, lit: &str, value: Json) -> Result<Json, String> {
         if self.src[self.pos..].starts_with(lit) {
             self.pos += lit.len();
@@ -284,7 +318,10 @@ impl Parser<'_> {
     }
 
     /// Parses an array or object one level deeper, within [`MAX_DEPTH`].
-    fn nested(&mut self, parse: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+    fn nested<T>(
+        &mut self,
+        parse: impl FnOnce(&mut Self) -> Result<T, String>,
+    ) -> Result<T, String> {
         if self.depth == MAX_DEPTH {
             return Err(self.err(&format!("nested deeper than {MAX_DEPTH} levels")));
         }
@@ -317,41 +354,81 @@ impl Parser<'_> {
     }
 
     fn object(&mut self) -> Result<Json, String> {
-        self.eat(b'{')?;
         let mut map = BTreeMap::new();
+        self.members(|p, key| {
+            let value = p.value()?;
+            match map.entry(key.into_owned()) {
+                Entry::Vacant(slot) => {
+                    slot.insert(value);
+                    Ok(())
+                }
+                Entry::Occupied(slot) => Err(p.err(&format!("duplicate key {:?}", slot.key()))),
+            }
+        })?;
+        Ok(Json::Obj(map))
+    }
+
+    /// The top-level object of [`read_fields`]: each value of a key in
+    /// `keys` lands in its slot, and any other is checked and dropped.
+    fn fields<const N: usize>(
+        &mut self,
+        keys: &[&str; N],
+    ) -> Result<[Option<Token<'a>>; N], String> {
+        let mut slots = [const { None }; N];
+        // Other keys seen so far: a repeat is found in log time whatever
+        // the document, and the set allocates only once one appears.
+        let mut others = BTreeSet::new();
+        self.members(|p, key| {
+            let value = p.token()?;
+            let fresh = match keys.iter().position(|k| *k == key) {
+                Some(i) => slots[i].replace(value).is_none(),
+                None => others.insert(key.clone()),
+            };
+            if fresh {
+                Ok(())
+            } else {
+                Err(p.err(&format!("duplicate key {key:?}")))
+            }
+        })?;
+        Ok(slots)
+    }
+
+    /// Walks an object's `"key": value` members, handing each key to
+    /// `member` to parse its value.
+    fn members(
+        &mut self,
+        mut member: impl FnMut(&mut Self, Cow<'a, str>) -> Result<(), String>,
+    ) -> Result<(), String> {
+        self.eat(b'{')?;
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.pos += 1;
-            return Ok(Json::Obj(map));
+            return Ok(());
         }
         loop {
             self.skip_ws();
-            let key = self.string()?;
+            let key = self.str_token()?;
             self.skip_ws();
             self.eat(b':')?;
-            let value = self.value()?;
-            match map.entry(key) {
-                Entry::Vacant(slot) => {
-                    slot.insert(value);
-                }
-                Entry::Occupied(slot) => {
-                    return Err(self.err(&format!("duplicate key {:?}", slot.key())));
-                }
-            }
+            member(self, key)?;
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b'}') => {
                     self.pos += 1;
-                    return Ok(Json::Obj(map));
+                    return Ok(());
                 }
                 _ => return Err(self.err("expected ',' or '}'")),
             }
         }
     }
 
-    /// A number token: `-? digits (. digits)? ([eE] [+-]? digits)?`.
     fn number(&mut self) -> Result<Json, String> {
+        self.num_token().map(|token| Json::Num(token.to_string()))
+    }
+
+    /// A number token: `-? digits (. digits)? ([eE] [+-]? digits)?`.
+    fn num_token(&mut self) -> Result<&'a str, String> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
@@ -374,31 +451,46 @@ impl Parser<'_> {
                 return Err(self.err("expected exponent digits"));
             }
         }
-        Ok(Json::Num(self.src[start..self.pos].to_string()))
+        Ok(&self.src[start..self.pos])
     }
 
     fn string(&mut self) -> Result<String, String> {
+        self.str_token().map(Cow::into_owned)
+    }
+
+    /// A string literal's text: borrowed from the source when it holds
+    /// no escape, decoded into a new string at the first one.
+    fn str_token(&mut self) -> Result<Cow<'a, str>, String> {
         self.eat(b'"')?;
-        let mut out = String::new();
+        let src = self.src;
+        let mut decoded: Option<String> = None;
         loop {
-            // Copy the run up to the next quote, backslash or control
+            // Take the run up to the next quote, backslash or control
             // byte in one piece: each is ASCII, so the run ends on a
             // char boundary, and no byte is looked at twice.
-            let rest = &self.src.as_bytes()[self.pos..];
-            let run = rest
+            let start = self.pos;
+            let rest = &src.as_bytes()[start..];
+            self.pos += rest
                 .iter()
                 .position(|&c| c == b'"' || c == b'\\' || c < 0x20)
                 .unwrap_or(rest.len());
-            out.push_str(&self.src[self.pos..self.pos + run]);
-            self.pos += run;
+            let run = &src[start..self.pos];
             match self.peek() {
                 Some(b'"') => {
                     self.pos += 1;
-                    return Ok(out);
+                    return Ok(match decoded {
+                        None => Cow::Borrowed(run),
+                        Some(mut out) => {
+                            out.push_str(run);
+                            Cow::Owned(out)
+                        }
+                    });
                 }
                 Some(b'\\') => {
+                    let out = decoded.get_or_insert_with(String::new);
+                    out.push_str(run);
                     self.pos += 1;
-                    self.escape(&mut out)?;
+                    self.escape(out)?;
                 }
                 Some(_) => return Err(self.err("control character in string")),
                 None => return Err(self.err("unterminated string")),
@@ -463,30 +555,38 @@ mod tests {
         out
     }
 
-    #[test]
-    fn round_trips_flat_objects() {
-        let v = Json::obj(vec![
-            ("type", Json::Str("submit".to_string())),
-            ("id", Json::int(42)),
-            ("arrival", Json::num(17.25)),
-            ("ok", Json::Bool(true)),
-            ("none", Json::Null),
-        ]);
-        assert_eq!(parse(&v.render()).unwrap(), v);
+    fn num(token: &str) -> Json {
+        Json::Num(token.to_string())
     }
 
     #[test]
-    fn object_keys_render_sorted() {
-        let v = Json::obj(vec![("z", Json::int(1)), ("a", Json::int(2))]);
-        assert_eq!(v.render(), "{\"a\":2,\"z\":1}");
+    fn parses_flat_objects() {
+        let v =
+            parse("{\"type\":\"submit\",\"id\":42,\"arrival\":17.25,\"ok\":true,\"none\":null}")
+                .unwrap();
+        let expected = Json::Obj(BTreeMap::from([
+            ("type".to_string(), Json::Str("submit".to_string())),
+            ("id".to_string(), num("42")),
+            ("arrival".to_string(), num("17.25")),
+            ("ok".to_string(), Json::Bool(true)),
+            ("none".to_string(), Json::Null),
+        ]));
+        assert_eq!(v, expected);
     }
 
     #[test]
     fn floats_survive_bit_for_bit() {
         for x in [0.1, 1.0 / 3.0, 5.010_203, f64::MAX, 1e-300, -0.5, 1e21] {
-            let text = Json::num(x).render();
+            let mut text = String::new();
+            write_f64(&mut text, x, "null");
             let back = parse(&text).unwrap().as_f64().unwrap();
             assert_eq!(back.to_bits(), x.to_bits(), "{x} mangled to {back}");
+            let doc = format!("{{\"x\":{text}}}");
+            let [field] = read_fields(&doc, ["x"]).unwrap();
+            assert_eq!(
+                field.and_then(|t| t.as_f64()).map(f64::to_bits),
+                Some(x.to_bits())
+            );
         }
     }
 
@@ -498,28 +598,35 @@ mod tests {
             out.push(' ');
         }
         write_f64(&mut out, f64::INFINITY, "null");
-        assert_eq!(out, "1 0.042 0.0000001 0 null");
-        assert_eq!(Json::num(f64::NEG_INFINITY), Json::Null);
+        out.push(' ');
+        write_f64(&mut out, f64::NEG_INFINITY, "null");
+        assert_eq!(out, "1 0.042 0.0000001 0 null null");
     }
 
     #[test]
     fn integers_keep_their_token() {
-        let v = parse("{\"seed\":18446744073709551615,\"i\":3,\"f\":3.0,\"e\":1e3}").unwrap();
+        let text = "{\"seed\":18446744073709551615,\"i\":3,\"f\":3.0,\"e\":1e3}";
+        let v = parse(text).unwrap();
+        assert_eq!(v.get("seed"), Some(&num("18446744073709551615")));
         assert_eq!(v.get("seed").unwrap().as_u64(), Some(u64::MAX));
-        assert_eq!(Json::int(u64::MAX).render(), "18446744073709551615");
-        assert_eq!(v.get("i"), Some(&Json::Num("3".to_string())));
-        assert_eq!(v.get("f"), Some(&Json::Num("3.0".to_string())));
+        assert_eq!(v.get("i"), Some(&num("3")));
+        assert_eq!(v.get("f"), Some(&num("3.0")));
         assert_eq!(v.get("f").unwrap().as_u64(), None);
+        assert_eq!(v.get("e"), Some(&num("1e3")));
         assert_eq!(v.get("e").unwrap().as_f64(), Some(1000.0));
-        assert_eq!(
-            v.render(),
-            "{\"e\":1e3,\"f\":3.0,\"i\":3,\"seed\":18446744073709551615}"
-        );
+        let [seed, i, f, e] = read_fields(text, ["seed", "i", "f", "e"]).unwrap();
+        assert_eq!(seed, Some(Token::Num("18446744073709551615")));
+        assert_eq!(seed.unwrap().as_u64(), Some(u64::MAX));
+        assert_eq!(i, Some(Token::Num("3")));
+        assert_eq!(f, Some(Token::Num("3.0")));
+        assert_eq!(f.unwrap().as_u64(), None);
+        assert_eq!(e.unwrap().as_f64(), Some(1000.0));
     }
 
     #[test]
     fn accessors_are_type_checked() {
-        let v = parse("{\"n\":3,\"s\":\"x\",\"f\":2.5,\"big\":1e999,\"neg\":-1}").unwrap();
+        let text = "{\"n\":3,\"s\":\"x\",\"f\":2.5,\"big\":1e999,\"neg\":-1}";
+        let v = parse(text).unwrap();
         assert_eq!(v.get("n").unwrap().as_u64(), Some(3));
         assert_eq!(v.get("f").unwrap().as_u64(), None);
         assert_eq!(v.get("f").unwrap().as_f64(), Some(2.5));
@@ -528,11 +635,23 @@ mod tests {
         assert_eq!(v.get("s").unwrap().as_str(), Some("x"));
         assert_eq!(v.get("s").unwrap().as_f64(), None);
         assert_eq!(v.get("s").unwrap().as_array(), None);
-        assert_eq!(parse("[1]").unwrap().as_array(), Some(&[Json::int(1)][..]));
+        assert_eq!(parse("[1]").unwrap().as_array(), Some(&[num("1")][..]));
         assert!(v.get("missing").is_none());
         assert_eq!(v.field("n", Json::as_u64), Ok(3));
         assert!(v.field("s", Json::as_u64).unwrap_err().contains("\"s\""));
         assert!(v.field("missing", Json::as_str).is_err());
+        // Tokens read by the tree's rules.
+        let [n, s, f, big, neg] = read_fields(text, ["n", "s", "f", "big", "neg"]).unwrap();
+        let [n, s, f, big, neg] = [n, s, f, big, neg].map(Option::unwrap);
+        assert_eq!(
+            (n.as_u64(), f.as_u64(), neg.as_u64()),
+            (Some(3), None, None)
+        );
+        assert_eq!(
+            (f.as_f64(), big.as_f64(), s.as_f64()),
+            (Some(2.5), None, None)
+        );
+        assert_eq!((s.as_str(), n.as_str()), (Some("x"), None));
     }
 
     #[test]
@@ -610,11 +729,51 @@ mod tests {
             "{1:2}",
         ] {
             assert!(parse(bad).is_err(), "{bad:?} parsed");
+            assert!(read_fields(bad, ["a"]).is_err(), "{bad:?} read");
         }
-        assert_eq!(
-            parse(" [1 , {\"a\" : null} ]\n").unwrap().render(),
-            "[1,{\"a\":null}]"
-        );
+        let spaced = " [1 , {\"a\" : null} ]\n";
+        let a_null = Json::Obj(BTreeMap::from([("a".to_string(), Json::Null)]));
+        assert_eq!(parse(spaced).unwrap(), Json::Arr(vec![num("1"), a_null]));
+        let [a] = read_fields(" {\"a\" : 1 ,\"b\":[ ] }\n", ["a"]).unwrap();
+        assert_eq!(a, Some(Token::Num("1")));
+    }
+
+    #[test]
+    fn read_fields_borrows_what_it_can_and_skips_the_rest() {
+        let text = "{\"n\":7,\"s\":\"plain\",\"e\":\"a\\nb\",\"skip\":{\"x\":[1,{\"y\":null}]},\"t\":true}";
+        let [n, s, e, t, gone] = read_fields(text, ["n", "s", "e", "t", "gone"]).unwrap();
+        assert_eq!(n, Some(Token::Num("7")));
+        assert!(matches!(s, Some(Token::Str(Cow::Borrowed("plain")))));
+        assert!(matches!(e, Some(Token::Str(Cow::Owned(ref d))) if d == "a\nb"));
+        assert_eq!(t, Some(Token::Tree(Json::Bool(true))));
+        assert_eq!(gone, None);
+        // An escaped key names the same field; `{}` has no fields.
+        let [kind] = read_fields("{\"ty\\u0070e\":\"drain\"}", ["type"]).unwrap();
+        assert_eq!(kind.as_ref().and_then(Token::as_str), Some("drain"));
+        assert_eq!(read_fields(" {} ", ["type"]).unwrap(), [None]);
+    }
+
+    #[test]
+    fn read_fields_rejects_repeats_and_non_objects() {
+        for bad in [
+            "[]",
+            "\"s\"",
+            "1",
+            "null",
+            "{\"a\":1,\"a\":1}",
+            "{\"type\":1,\"a\":2,\"ty\\u0070e\":1}",
+            "{\"x\":1,\"a\":2,\"x\":1}",
+            "{\"x\\u0031\":1,\"x1\":1}",
+            "{\"a\":1}}",
+        ] {
+            assert!(read_fields(bad, ["a", "type"]).is_err(), "{bad:?} read");
+        }
+        // Many distinct other keys are fine, and a repeat among them is not.
+        let many: Vec<String> = (0..4096).map(|i| format!("\"k{i}\":{i}")).collect();
+        let text = format!("{{{}}}", many.join(","));
+        assert_eq!(read_fields(&text, ["a"]).unwrap(), [None]);
+        let text = format!("{{{},\"k0\":0}}", many.join(","));
+        assert!(read_fields(&text, ["a"]).unwrap_err().contains("duplicate"));
     }
 
     #[test]
@@ -625,6 +784,18 @@ mod tests {
         assert!(parse(&deep).unwrap_err().contains("nested deeper"));
         let objects = "{\"a\":".repeat(MAX_DEPTH + 1);
         assert!(parse(&objects).unwrap_err().contains("nested deeper"));
+        // The object read_fields reads is the first level, as in parse.
+        let field_at = |levels: usize| {
+            let inner = levels - 1;
+            format!("{{\"a\":{}{}}}", "[".repeat(inner), "]".repeat(inner))
+        };
+        for key in ["a", "b"] {
+            assert!(parse(&field_at(MAX_DEPTH)).is_ok());
+            assert!(read_fields(&field_at(MAX_DEPTH), [key]).is_ok());
+            assert!(parse(&field_at(MAX_DEPTH + 1)).is_err());
+            let err = read_fields(&field_at(MAX_DEPTH + 1), [key]).unwrap_err();
+            assert!(err.contains("nested deeper"), "{err}");
+        }
     }
 
     #[test]

@@ -81,11 +81,13 @@ impl CbfScheduler {
     /// Starts every queued request whose reservation is due, in
     /// submission order. Always safe on a stale profile: actual capacity
     /// can only exceed the planned capacity the reservations were placed
-    /// against.
+    /// against — once every allocation due to end by `now` has ended. A
+    /// due request whose nodes are held by a job ending at this very
+    /// instant waits for that job's completion, whose pass starts it.
     fn start_due(&mut self, now: SimTime, starts: &mut Vec<RequestId>) {
         let mut i = 0;
         while i < self.queue.len() {
-            if self.queue[i].1 <= now {
+            if self.queue[i].1 <= now && self.core.fits_now(&self.queue[i].0) {
                 let (req, _) = self.queue.remove(i);
                 // Jumping ahead of any still-queued earlier submission is
                 // a backfill in CBF's sense.
@@ -104,7 +106,9 @@ impl CbfScheduler {
 
     /// Schedule compression: rebuild the profile from the running set and
     /// re-reserve every queued request in submission order, starting those
-    /// whose reservation lands at `now`.
+    /// whose reservation lands at `now` and whose nodes are free (the
+    /// profile counts a job ending at `now` as ended already; its
+    /// completion's pass starts what it holds back).
     ///
     /// Re-reserving in submission order is the textbook compression rule:
     /// freed capacity propagates to the oldest requests first, and no
@@ -119,7 +123,7 @@ impl CbfScheduler {
             profile.reserve(start, req.estimate, req.nodes);
             self.observer
                 .with(|s, o| o.on_reserve(s, now, req.id, start));
-            if start == now {
+            if start == now && self.core.fits_now(&req) {
                 if skipped_earlier {
                     self.backfills += 1;
                 }
@@ -199,7 +203,7 @@ impl Scheduler for CbfScheduler {
         self.profile.reserve(start, req.estimate, req.nodes);
         self.observer
             .with(|s, o| o.on_reserve(s, now, req.id, start));
-        if start == now {
+        if start == now && self.core.fits_now(&req) {
             self.core.start(now, req);
             self.observer
                 .with(|s, o| o.on_start(s, now, &req, StartKind::Reservation));
@@ -376,6 +380,25 @@ mod tests {
         // Request 1 runs its entire requested time; the completion event
         // at t=100 must start request 2 (no compression involved: the
         // schedule was never stale).
+        s.complete(t(100.0), RequestId(1), &mut starts);
+        assert_eq!(starts, vec![RequestId(2)]);
+    }
+
+    /// Regression: with exact estimates a reservation lands on a running
+    /// job's requested end, which is its completion instant. A submit
+    /// processed at that instant before the `Complete` event must not
+    /// start the reservation on nodes the job still holds; the
+    /// completion's pass starts it.
+    #[test]
+    fn submit_at_a_completion_instant_waits_for_the_completion() {
+        let mut s = CbfScheduler::with_cycle(4, Duration::from_secs(30.0));
+        let mut starts = Vec::new();
+        s.submit(t(0.0), req(1, 4, 100.0), &mut starts);
+        s.submit(t(0.0), req(2, 4, 10.0), &mut starts); // reserved at 100
+        starts.clear();
+        s.submit(t(100.0), req(3, 1, 5.0), &mut starts);
+        assert!(starts.is_empty(), "r1 still holds the nodes: {starts:?}");
+        assert_eq!(s.predicted_start(t(100.0), RequestId(2)), Some(t(100.0)));
         s.complete(t(100.0), RequestId(1), &mut starts);
         assert_eq!(starts, vec![RequestId(2)]);
     }

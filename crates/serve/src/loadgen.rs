@@ -98,7 +98,7 @@ pub fn run(config: &LoadgenConfig) -> Result<LoadgenStats, String> {
         let mut buf = [0u8; 16 * 1024];
         loop {
             while let Some(frame) = reader.next_frame()? {
-                match Response::from_json(&frame)? {
+                match Response::from_json(frame)? {
                     Response::Ack {
                         verdict,
                         txn: serial,

@@ -18,7 +18,7 @@ use rbr_faults::BatchSpec;
 use crate::admission::{AdmissionConfig, AdmissionController};
 use crate::batcher::{Batcher, OpKind, PendingOp, Transaction};
 use crate::clock::{Clock, ClockMode};
-use crate::wire::{encode_frame, FrameReader, Request, Response, Verdict};
+use crate::wire::{encode_frame_into, FrameReader, Request, Response, Verdict};
 
 /// A connection stops being read while its write buffer holds more than
 /// this many bytes: the client must drain acks before sending more work.
@@ -106,6 +106,8 @@ struct Conn {
     stream: TcpStream,
     reader: FrameReader,
     wbuf: Vec<u8>,
+    /// Scratch for the response being framed into `wbuf`.
+    json: String,
     open: bool,
 }
 
@@ -115,7 +117,9 @@ impl Conn {
     }
 
     fn queue(&mut self, resp: &Response) {
-        self.wbuf.extend_from_slice(&encode_frame(&resp.to_json()));
+        self.json.clear();
+        resp.write_json(&mut self.json);
+        encode_frame_into(&mut self.wbuf, &self.json);
     }
 
     /// Writes as much of the buffer as the socket will take.
@@ -170,6 +174,7 @@ pub fn serve(listener: TcpListener, config: &ServerConfig) -> Result<ServerStats
                         stream,
                         reader: FrameReader::new(),
                         wbuf: Vec::new(),
+                        json: String::new(),
                         open: true,
                     });
                 }
@@ -197,7 +202,7 @@ pub fn serve(listener: TcpListener, config: &ServerConfig) -> Result<ServerStats
                             .next_frame()
                             .map_err(|e| format!("connection {ci}: {e}"))?;
                         let Some(payload) = frame else { break };
-                        let req = Request::from_json(&payload)
+                        let req = Request::from_json(payload)
                             .map_err(|e| format!("connection {ci}: {e}"))?;
                         handle_request(
                             ci,
@@ -445,6 +450,7 @@ fn deliver(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire::encode_frame;
     use std::net::TcpStream as ClientStream;
 
     fn start(
@@ -469,7 +475,7 @@ mod tests {
         let mut buf = [0u8; 4096];
         loop {
             if let Some(frame) = reader.next_frame().expect("frame") {
-                return Response::from_json(&frame).expect("response");
+                return Response::from_json(frame).expect("response");
             }
             let n = stream.read(&mut buf).expect("read");
             assert!(n > 0, "server hung up early");

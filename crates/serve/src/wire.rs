@@ -7,7 +7,10 @@
 //! frame boundaries; the newline keeps captures greppable and makes a
 //! torn frame detectable.
 
-use rbr_obs::json::{self, Json};
+use std::fmt::Write as _;
+use std::io::Write as _;
+
+use rbr_obs::json::{self, Token};
 
 /// Upper bound on a single frame payload; anything larger is a protocol
 /// error, not a buffering request.
@@ -111,43 +114,49 @@ pub enum Response {
 impl Request {
     /// Renders as a JSON document (no framing).
     pub fn to_json(&self) -> String {
-        match self {
+        let mut out = String::with_capacity(128);
+        self.write_json(&mut out);
+        out
+    }
+
+    /// Appends the JSON document (no framing) to `out`, keys sorted.
+    pub fn write_json(&self, out: &mut String) {
+        match *self {
             Request::Submit {
                 id,
                 arrival_secs,
                 nodes,
                 runtime_secs,
-            } => Json::obj(vec![
-                ("type", Json::Str("submit".to_string())),
-                ("id", Json::int(*id)),
-                ("arrival", Json::num(*arrival_secs)),
-                ("nodes", Json::int(u64::from(*nodes))),
-                ("runtime", Json::num(*runtime_secs)),
-            ])
-            .render(),
-            Request::Cancel { id, arrival_secs } => Json::obj(vec![
-                ("type", Json::Str("cancel".to_string())),
-                ("id", Json::int(*id)),
-                ("arrival", Json::num(*arrival_secs)),
-            ])
-            .render(),
-            Request::Drain => Json::obj(vec![("type", Json::Str("drain".to_string()))]).render(),
+            } => {
+                out.push_str("{\"arrival\":");
+                json::write_f64(out, arrival_secs, "null");
+                let _ = write!(out, ",\"id\":{id},\"nodes\":{nodes},\"runtime\":");
+                json::write_f64(out, runtime_secs, "null");
+                out.push_str(",\"type\":\"submit\"}");
+            }
+            Request::Cancel { id, arrival_secs } => {
+                out.push_str("{\"arrival\":");
+                json::write_f64(out, arrival_secs, "null");
+                let _ = write!(out, ",\"id\":{id},\"type\":\"cancel\"}}");
+            }
+            Request::Drain => out.push_str("{\"type\":\"drain\"}"),
         }
     }
 
     /// Parses a JSON document into a request.
     pub fn from_json(text: &str) -> Result<Request, String> {
-        let v = json::parse(text)?;
-        match v.field("type", Json::as_str)? {
+        let [kind, id, arrival, nodes, runtime] =
+            json::read_fields(text, ["type", "id", "arrival", "nodes", "runtime"])?;
+        match field(&kind, "type", Token::as_str)? {
             "submit" => Ok(Request::Submit {
-                id: v.field("id", Json::as_u64)?,
-                arrival_secs: v.field("arrival", Json::as_f64)?,
-                nodes: u32_field(&v, "nodes")?,
-                runtime_secs: v.field("runtime", Json::as_f64)?,
+                id: field(&id, "id", Token::as_u64)?,
+                arrival_secs: field(&arrival, "arrival", Token::as_f64)?,
+                nodes: u32_field(&nodes, "nodes")?,
+                runtime_secs: field(&runtime, "runtime", Token::as_f64)?,
             }),
             "cancel" => Ok(Request::Cancel {
-                id: v.field("id", Json::as_u64)?,
-                arrival_secs: v.field("arrival", Json::as_f64)?,
+                id: field(&id, "id", Token::as_u64)?,
+                arrival_secs: field(&arrival, "arrival", Token::as_f64)?,
             }),
             "drain" => Ok(Request::Drain),
             other => Err(format!("unknown request type {other:?}")),
@@ -158,81 +167,112 @@ impl Request {
 impl Response {
     /// Renders as a JSON document (no framing).
     pub fn to_json(&self) -> String {
-        match self {
+        let mut out = String::with_capacity(128);
+        self.write_json(&mut out);
+        out
+    }
+
+    /// Appends the JSON document (no framing) to `out`, keys sorted.
+    pub fn write_json(&self, out: &mut String) {
+        let _ = match *self {
             Response::Ack {
                 id,
                 redundancy,
                 verdict,
                 txn,
-            } => Json::obj(vec![
-                ("type", Json::Str("ack".to_string())),
-                ("id", Json::int(*id)),
-                ("redundancy", Json::int(u64::from(*redundancy))),
-                ("verdict", Json::Str(verdict.as_str().to_string())),
-                ("txn", Json::int(*txn)),
-            ])
-            .render(),
-            Response::CancelAck { id, txn } => Json::obj(vec![
-                ("type", Json::Str("cancel-ack".to_string())),
-                ("id", Json::int(*id)),
-                ("txn", Json::int(*txn)),
-            ])
-            .render(),
+            } => write!(
+                out,
+                "{{\"id\":{id},\"redundancy\":{redundancy},\"txn\":{txn},\
+                 \"type\":\"ack\",\"verdict\":\"{}\"}}",
+                verdict.as_str()
+            ),
+            Response::CancelAck { id, txn } => {
+                write!(out, "{{\"id\":{id},\"txn\":{txn},\"type\":\"cancel-ack\"}}")
+            }
             Response::Drained {
                 submits,
                 acks,
                 transactions,
                 shed,
-            } => Json::obj(vec![
-                ("type", Json::Str("drained".to_string())),
-                ("submits", Json::int(*submits)),
-                ("acks", Json::int(*acks)),
-                ("transactions", Json::int(*transactions)),
-                ("shed", Json::int(*shed)),
-            ])
-            .render(),
-        }
+            } => write!(
+                out,
+                "{{\"acks\":{acks},\"shed\":{shed},\"submits\":{submits},\
+                 \"transactions\":{transactions},\"type\":\"drained\"}}"
+            ),
+        };
     }
 
     /// Parses a JSON document into a response.
     pub fn from_json(text: &str) -> Result<Response, String> {
-        let v = json::parse(text)?;
-        let int = |key| v.field(key, Json::as_u64);
-        match v.field("type", Json::as_str)? {
+        let [kind, id, redundancy, verdict, txn, submits, acks, transactions, shed] =
+            json::read_fields(
+                text,
+                [
+                    "type",
+                    "id",
+                    "redundancy",
+                    "verdict",
+                    "txn",
+                    "submits",
+                    "acks",
+                    "transactions",
+                    "shed",
+                ],
+            )?;
+        let int = |slot: &Option<Token>, key| field(slot, key, Token::as_u64);
+        match field(&kind, "type", Token::as_str)? {
             "ack" => Ok(Response::Ack {
-                id: int("id")?,
-                redundancy: u32_field(&v, "redundancy")?,
-                verdict: Verdict::parse(v.field("verdict", Json::as_str)?).ok_or("bad verdict")?,
-                txn: int("txn")?,
+                id: int(&id, "id")?,
+                redundancy: u32_field(&redundancy, "redundancy")?,
+                verdict: Verdict::parse(field(&verdict, "verdict", Token::as_str)?)
+                    .ok_or("bad verdict")?,
+                txn: int(&txn, "txn")?,
             }),
             "cancel-ack" => Ok(Response::CancelAck {
-                id: int("id")?,
-                txn: int("txn")?,
+                id: int(&id, "id")?,
+                txn: int(&txn, "txn")?,
             }),
             "drained" => Ok(Response::Drained {
-                submits: int("submits")?,
-                acks: int("acks")?,
-                transactions: int("transactions")?,
-                shed: int("shed")?,
+                submits: int(&submits, "submits")?,
+                acks: int(&acks, "acks")?,
+                transactions: int(&transactions, "transactions")?,
+                shed: int(&shed, "shed")?,
             }),
             other => Err(format!("unknown response type {other:?}")),
         }
     }
 }
 
-/// The unsigned integer at `key`, which must fit a `u32`.
-fn u32_field(v: &Json, key: &str) -> Result<u32, String> {
-    u32::try_from(v.field(key, Json::as_u64)?).map_err(|_| format!("{key:?} out of range"))
+/// The field `key` read from its slot through `read` (one of
+/// [`Token`]'s `as_*` accessors); missing or mistyped is an error
+/// naming `key`.
+fn field<'t, 'a, T>(
+    slot: &'t Option<Token<'a>>,
+    key: &str,
+    read: fn(&'t Token<'a>) -> Option<T>,
+) -> Result<T, String> {
+    slot.as_ref()
+        .and_then(read)
+        .ok_or_else(|| format!("missing or mistyped field {key:?}"))
+}
+
+/// The unsigned integer in `slot`, which must fit a `u32`.
+fn u32_field(slot: &Option<Token>, key: &str) -> Result<u32, String> {
+    u32::try_from(field(slot, key, Token::as_u64)?).map_err(|_| format!("{key:?} out of range"))
 }
 
 /// Wraps a JSON document in a `<len>:<json>\n` frame.
 pub fn encode_frame(json: &str) -> Vec<u8> {
     let mut out = Vec::with_capacity(json.len() + 12);
-    out.extend_from_slice(json.len().to_string().as_bytes());
-    out.push(b':');
+    encode_frame_into(&mut out, json);
+    out
+}
+
+/// Appends a JSON document to `out` as one `<len>:<json>\n` frame.
+pub fn encode_frame_into(out: &mut Vec<u8>, json: &str) {
+    let _ = write!(out, "{}:", json.len());
     out.extend_from_slice(json.as_bytes());
     out.push(b'\n');
-    out
 }
 
 /// Incremental frame decoder over a byte stream.
@@ -266,9 +306,10 @@ impl FrameReader {
         self.buf.len() - self.consumed
     }
 
-    /// Extracts the next complete frame's JSON payload, or `None` if
-    /// more bytes are needed. A malformed prefix is a hard error.
-    pub fn next_frame(&mut self) -> Result<Option<String>, String> {
+    /// Extracts the next complete frame's JSON payload, borrowed from
+    /// the buffer, or `None` if more bytes are needed. A malformed
+    /// prefix is a hard error.
+    pub fn next_frame(&mut self) -> Result<Option<&str>, String> {
         let buf = &self.buf[self.consumed..];
         let colon = match buf.iter().position(|&b| b == b':') {
             Some(i) => i,
@@ -293,9 +334,7 @@ impl FrameReader {
         if buf[total - 1] != b'\n' {
             return Err("frame missing trailing newline".to_string());
         }
-        let payload = std::str::from_utf8(&buf[colon + 1..total - 1])
-            .map_err(|e| e.to_string())?
-            .to_string();
+        let payload = std::str::from_utf8(&buf[colon + 1..total - 1]).map_err(|e| e.to_string())?;
         self.consumed += total;
         Ok(Some(payload))
     }
@@ -458,7 +497,7 @@ mod tests {
         for byte in stream {
             reader.extend(&[byte]);
             while let Some(f) = reader.next_frame().unwrap() {
-                frames.push(f);
+                frames.push(f.to_owned());
             }
         }
         assert_eq!(frames.len(), 2);
