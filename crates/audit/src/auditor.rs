@@ -120,9 +120,9 @@ struct SchedState {
     used: bool,
 }
 
-/// The invariant auditor. Attach one per run via
-/// [`rbr_grid::SimDriver::attach_run_observer`] or process-wide through
-/// [`crate::sink::install`].
+/// The invariant auditor. Attach one per run through a
+/// [`rbr_grid::install_observer_factory`] factory, as
+/// [`crate::sink::install`] does process-wide.
 pub struct Auditor {
     scheds: Vec<SchedState>,
     seq: u64,

@@ -25,7 +25,7 @@
 //! is granted nodes, the job starts there and every sibling is
 //! cancelled. Copies not yet submitted when the callback fires are never
 //! submitted at all, and same-instant double grants are resolved by
-//! deterministic event order (the losers are revoked via `abort`).
+//! deterministic event order (the losers' grants are revoked).
 //!
 //! With a [`FaultModel`], control traffic becomes messages that take
 //! time and get lost, clusters suffer scheduled outages, and losing
@@ -113,7 +113,7 @@ use rbr_faults::FaultModel;
 use rbr_sched::{Request, RequestId, SchedulerSet};
 use rbr_simcore::{Duration, Engine, SimTime};
 
-use crate::observe::{observer_from_factory, ObserverAdapter, RunObserver};
+use crate::observe::{observer_from_factory, RunObserver};
 use crate::record::{JobRecord, RunResult};
 
 /// When a job's losing copies are cancelled.
@@ -251,6 +251,20 @@ enum Event {
     },
 }
 
+impl Event {
+    /// The label [`RunObserver::on_event`] receives.
+    fn kind(self) -> &'static str {
+        match self {
+            Event::Submit(_) => "submit",
+            Event::Complete { .. } => "complete",
+            Event::DeliverSubmit { .. } => "deliver-submit",
+            Event::DeliverCancel { .. } => "deliver-cancel",
+            Event::OutageDown { .. } => "outage-down",
+            Event::CancelFlush { .. } => "cancel-flush",
+        }
+    }
+}
+
 /// Which job (and which of its copies) a request belongs to. Packed to
 /// eight bytes — there are two of these per job per run, and the
 /// completion path reads them on every event.
@@ -290,7 +304,7 @@ struct CopyState {
 /// Per-job collections live in the driver's flat arenas (copy plans and
 /// copy states share offsets; request ids are issued contiguously per
 /// job), so a job's state is a fixed-size record and the race/cancel/
-/// abort path allocates nothing per copy.
+/// revoke path allocates nothing per copy.
 #[derive(Clone, Copy, Debug, Default)]
 struct JobState {
     started: Option<(usize, SimTime)>,
@@ -304,10 +318,10 @@ struct JobState {
     /// coincide). Zero-length until the job arrives.
     plan_first: u32,
     plan_len: u32,
-    /// First request id issued for this job (perfect-middleware runs;
-    /// ids are issued contiguously during the job's single submit event).
+    /// First request id issued for this job (on-start races; ids are
+    /// issued contiguously during the job's single submit event).
     req_first: u64,
-    /// How many requests this job issued (perfect-middleware runs).
+    /// How many requests this job issued.
     req_count: u32,
 }
 
@@ -355,17 +369,11 @@ pub struct SimDriver<P: SubmissionProtocol> {
     cancel_serial: u64,
     /// Run-level observer (the invariant auditor); `None` in normal runs.
     observer: Option<Rc<RefCell<dyn RunObserver>>>,
-    /// True when a trace sink was attached at construction; cached so
-    /// the event loop pays one branch, not a relaxed load, per check.
-    /// Phase timers and the queue-depth series only exist when set.
-    obs_trace: bool,
-    /// Wall seconds spent inside [`SubmissionProtocol::place_into`]
-    /// (only accumulated when `obs_trace`, on one submission in
-    /// [`PHASE_SAMPLE_EVERY`]).
-    obs_protocol_secs: f64,
-    /// Submissions seen so far, for the placement timer's sampling
-    /// stride (only maintained when `obs_trace`).
-    obs_place_tick: u64,
+    /// Wall-clock phase accumulators; `Some` only when a trace sink was
+    /// attached at construction, which also enables the queue-depth
+    /// series. Cached so the event loop pays one branch, not a relaxed
+    /// load, per check.
+    phases: Option<PhaseTimers>,
 }
 
 /// Events between two samples of the per-target queue-depth trace
@@ -373,23 +381,26 @@ pub struct SimDriver<P: SubmissionProtocol> {
 /// tens of kilobytes, fine enough to see a queue-growth trajectory.
 const QUEUE_SAMPLE_EVERY: u64 = 256;
 
-/// Phase timers read the wall clock on one iteration (or submission)
-/// in this many, and [`SimDriver::flush_obs`] scales the accumulated
-/// seconds back up. Timing every event costs ~45% of the event loop in
-/// `Instant::now` calls; sampling keeps the traced run within the
-/// BENCH_exec.json `obs_overhead` budget while the per-phase shares —
-/// what the breakdown is for — stay statistically faithful. The stride
-/// is keyed to deterministic counters, never to time.
+/// Phase timers read the wall clock on one event in this many, and
+/// [`SimDriver::flush_obs`] scales the accumulated seconds back up.
+/// Timing every event costs ~45% of the event loop in `Instant::now`
+/// calls; sampling keeps the traced run within the BENCH_exec.json
+/// `obs_overhead` budget while the per-phase shares — what the
+/// breakdown is for — stay statistically faithful. Samples are keyed
+/// to the engine's event count, never to time, and `protocol` is timed
+/// inside the sampled events' handlers, so it is a part of `handler`.
 const PHASE_SAMPLE_EVERY: u64 = 16;
 
-/// Wall-clock phase accumulators for the event loop; allocated only
-/// when a trace sink is attached.
+/// Wall-clock phase accumulators for the event loop's sampled events.
 #[derive(Default)]
 struct PhaseTimers {
     /// Seconds inside `Engine::pop` (event-queue operations).
     queue_ops: f64,
     /// Seconds inside event handlers (protocol + placement).
     handler: f64,
+    /// Seconds inside [`SubmissionProtocol::place_into`], a part of
+    /// `handler`.
+    protocol: f64,
 }
 
 impl<P: SubmissionProtocol> SimDriver<P> {
@@ -402,7 +413,7 @@ impl<P: SubmissionProtocol> SimDriver<P> {
     /// support prediction).
     pub fn new(
         protocol: P,
-        scheds: Box<dyn SchedulerSet>,
+        mut scheds: Box<dyn SchedulerSet>,
         rng: StdRng,
         faults: Option<FaultModel>,
         collect_predictions: bool,
@@ -424,7 +435,14 @@ impl<P: SubmissionProtocol> SimDriver<P> {
                 );
             }
         }
-        let mut driver = SimDriver {
+        // An installed observer factory (see `crate::observe`) attaches a
+        // fresh observer: the driver forwards its own milestones, and the
+        // set wires the scheduler-level hooks to the same observer.
+        let observer = observer_from_factory();
+        if let Some(obs) = &observer {
+            scheds.attach_observer(obs.clone());
+        }
+        SimDriver {
             result: RunResult {
                 max_queue_len: vec![0; n_targets],
                 pool_nodes: scheds.pool_nodes(),
@@ -448,25 +466,10 @@ impl<P: SubmissionProtocol> SimDriver<P> {
             dead: Vec::new(),
             cancel_buf: Vec::new(),
             cancel_serial: 0,
-            observer: None,
-            obs_trace: rbr_obs::trace::enabled(),
-            obs_protocol_secs: 0.0,
-            obs_place_tick: 0,
+            observer,
+            phases: rbr_obs::trace::enabled().then(PhaseTimers::default),
             protocol,
-        };
-        if let Some(obs) = observer_from_factory() {
-            driver.attach_run_observer(obs);
         }
-        driver
-    }
-
-    /// Attaches a run observer (see [`crate::observe`]): the driver
-    /// forwards its own milestones and wires the scheduler-level hooks
-    /// through the set, replacing any previously attached observer.
-    pub fn attach_run_observer(&mut self, obs: Rc<RefCell<dyn RunObserver>>) {
-        self.scheds
-            .attach_observer(Rc::new(RefCell::new(ObserverAdapter(obs.clone()))));
-        self.observer = Some(obs);
     }
 
     /// Runs the simulation to completion and returns the results.
@@ -475,39 +478,23 @@ impl<P: SubmissionProtocol> SimDriver<P> {
     /// Panics if any job fails to start or complete — that would be a
     /// scheduler bug, not a valid outcome.
     pub fn run(mut self) -> RunResult {
-        let mut timers = self.obs_trace.then(PhaseTimers::default);
-        let mut tick: u64 = 0;
         loop {
-            // With a trace attached, one iteration in PHASE_SAMPLE_EVERY
+            // With a trace attached, one event in PHASE_SAMPLE_EVERY
             // times the pop and the handler separately, splitting the
-            // loop into queue-ops vs handler wall time; detached, the
-            // loop is the original code path.
-            let sampled = timers.is_some() && tick.is_multiple_of(PHASE_SAMPLE_EVERY);
-            tick += 1;
-            let popped = if sampled {
-                let timers = timers.as_mut().expect("sampled implies timers");
-                let t0 = Instant::now();
-                let popped = self.engine.pop();
-                timers.queue_ops += t0.elapsed().as_secs_f64();
-                popped
-            } else {
-                self.engine.pop()
+            // loop into queue-ops vs handler wall time; detached, no
+            // clock is read.
+            let sampled =
+                self.phases.is_some() && self.engine.processed().is_multiple_of(PHASE_SAMPLE_EVERY);
+            let pop_t0 = sampled.then(Instant::now);
+            let Some((now, event)) = self.engine.pop() else {
+                break;
             };
-            let Some((now, event)) = popped else { break };
-            if let Some(obs) = &self.observer {
-                let kind = match event {
-                    Event::Submit(_) => "submit",
-                    Event::Complete { .. } => "complete",
-                    Event::DeliverSubmit { .. } => "deliver-submit",
-                    Event::DeliverCancel { .. } => "deliver-cancel",
-                    Event::OutageDown { .. } => "outage-down",
-                    Event::CancelFlush { .. } => "cancel-flush",
-                };
-                obs.borrow_mut().on_event(now, kind);
-            }
             let handler_t0 = sampled.then(Instant::now);
+            if let Some(obs) = &self.observer {
+                obs.borrow_mut().on_event(now, event.kind());
+            }
             match event {
-                Event::Submit(j) => self.handle_submit(now, j),
+                Event::Submit(j) => self.handle_submit(now, j, sampled),
                 Event::Complete { req } => self.handle_complete(now, req),
                 Event::DeliverSubmit { job, copy } => self.handle_deliver_submit(now, job, copy),
                 Event::DeliverCancel { job, copy } => self.handle_deliver_cancel(now, job, copy),
@@ -516,10 +503,11 @@ impl<P: SubmissionProtocol> SimDriver<P> {
                 }
                 Event::CancelFlush { serial } => self.handle_cancel_flush(now, serial),
             }
-            if let (Some(timers), Some(t0)) = (timers.as_mut(), handler_t0) {
-                timers.handler += t0.elapsed().as_secs_f64();
+            if let (Some(phases), Some(t0), Some(t1)) = (self.phases.as_mut(), pop_t0, handler_t0) {
+                phases.queue_ops += (t1 - t0).as_secs_f64();
+                phases.handler += t1.elapsed().as_secs_f64();
             }
-            if self.obs_trace && self.engine.processed().is_multiple_of(QUEUE_SAMPLE_EVERY) {
+            if self.phases.is_some() && self.engine.processed().is_multiple_of(QUEUE_SAMPLE_EVERY) {
                 self.sample_queue_depths(now);
             }
         }
@@ -534,7 +522,7 @@ impl<P: SubmissionProtocol> SimDriver<P> {
         if let Some(obs) = &self.observer {
             obs.borrow_mut().on_run_end(&self.result);
         }
-        self.flush_obs(timers);
+        self.flush_obs();
         self.result
     }
 
@@ -562,17 +550,14 @@ impl<P: SubmissionProtocol> SimDriver<P> {
     /// per-protocol run counters to the metrics registry. Runs once per
     /// simulation; both sinks are pure side channels, so results are
     /// unaffected (names are formatted here, never on the hot path).
-    fn flush_obs(&self, timers: Option<PhaseTimers>) {
-        if let Some(timers) = timers {
+    fn flush_obs(&self) {
+        if let Some(phases) = &self.phases {
             // Scale the sampled accumulators back to whole-run seconds.
             let scale = PHASE_SAMPLE_EVERY as f64;
-            let queue_ops = timers.queue_ops * scale;
-            let handler = timers.handler * scale;
-            let protocol = self.obs_protocol_secs * scale;
-            let placement = (handler - protocol).max(0.0);
-            rbr_obs::trace::phase("grid.run", "queue-ops", queue_ops);
-            rbr_obs::trace::phase("grid.run", "protocol", protocol);
-            rbr_obs::trace::phase("grid.run", "placement", placement);
+            let placement = phases.handler - phases.protocol;
+            rbr_obs::trace::phase("grid.run", "queue-ops", phases.queue_ops * scale);
+            rbr_obs::trace::phase("grid.run", "protocol", phases.protocol * scale);
+            rbr_obs::trace::phase("grid.run", "placement", placement * scale);
         }
         if !rbr_obs::metrics::enabled() {
             return;
@@ -632,15 +617,9 @@ impl<P: SubmissionProtocol> SimDriver<P> {
         &mut self.copy_arena[self.states[j].plan_first as usize + copy]
     }
 
-    fn handle_submit(&mut self, now: SimTime, j: usize) {
+    fn handle_submit(&mut self, now: SimTime, j: usize, sampled: bool) {
         self.plan_buf.clear();
-        let place_t0 = if self.obs_trace {
-            let sampled = self.obs_place_tick.is_multiple_of(PHASE_SAMPLE_EVERY);
-            self.obs_place_tick += 1;
-            sampled.then(Instant::now)
-        } else {
-            None
-        };
+        let place_t0 = sampled.then(Instant::now);
         self.protocol.place_into(
             j,
             now,
@@ -648,8 +627,8 @@ impl<P: SubmissionProtocol> SimDriver<P> {
             self.scheds.as_ref(),
             &mut self.plan_buf,
         );
-        if let Some(t0) = place_t0 {
-            self.obs_protocol_secs += t0.elapsed().as_secs_f64();
+        if let (Some(phases), Some(t0)) = (self.phases.as_mut(), place_t0) {
+            phases.protocol += t0.elapsed().as_secs_f64();
         }
         debug_assert!(
             !self.plan_buf.is_empty(),
@@ -667,8 +646,22 @@ impl<P: SubmissionProtocol> SimDriver<P> {
             return;
         }
         if self.cancel_on_completion {
-            // Completion race: every copy is dispatched and may execute.
-            self.dispatch_racing_submits(now, j);
+            // Completion race: every copy is submitted and may execute,
+            // so copy states live in the shared arena (as in faulty
+            // runs) — per-copy phases matter even with perfect messaging.
+            debug_assert_eq!(
+                self.copy_arena.len(),
+                self.states[j].plan_first as usize,
+                "copy arena must share the plan arena's offsets"
+            );
+            for copy in 0..self.states[j].plan_len as usize {
+                let rid = self.submit_copy(now, j, copy);
+                self.copy_arena.push(CopyState {
+                    rid: Some(rid),
+                    phase: CopyPhase::Queued,
+                });
+            }
+            self.commit_starts(now);
             return;
         }
 
@@ -680,33 +673,116 @@ impl<P: SubmissionProtocol> SimDriver<P> {
                 // instant with no effect on any schedule).
                 break;
             }
-            let plan = self.plan(j, copy);
-            let rid = RequestId(self.reqs.len() as u64);
-            self.reqs.push(ReqInfo {
-                job: j as u32,
-                copy: copy as u32,
-            });
-            let req = Request::new(rid, plan.nodes, plan.estimate, now);
-            self.result.submits += 1;
-            self.scratch.clear();
-            self.scheds.submit(now, plan.target, req, &mut self.scratch);
-            self.states[j].req_count += 1;
-            self.worklist.extend(self.scratch.drain(..));
-            if self.collect_predictions {
-                let wait = self
-                    .scheds
-                    .predicted_start(now, plan.target, rid)
-                    .map(|s| s.since(now))
-                    .expect("request just submitted must be known");
-                let best = match self.states[j].predicted_wait {
-                    Some(prev) => prev.min(wait),
-                    None => wait,
-                };
-                self.states[j].predicted_wait = Some(best);
-            }
-            self.note_queue(plan.target);
+            self.submit_copy(now, j, copy);
             self.commit_starts(now);
         }
+    }
+
+    /// Submits job `j`'s copy `copy` to its target under the next request
+    /// id, queues the starts it triggers, and folds its wait forecast.
+    fn submit_copy(&mut self, now: SimTime, j: usize, copy: usize) -> RequestId {
+        let plan = self.plan(j, copy);
+        let rid = RequestId(self.reqs.len() as u64);
+        self.reqs.push(ReqInfo {
+            job: j as u32,
+            copy: copy as u32,
+        });
+        if self.faults.is_some() || self.cancel_on_completion {
+            // Only these runs kill copies whose `Complete` is queued; the
+            // on-start race never needs a tombstone.
+            self.dead.push(false);
+        }
+        let req = Request::new(rid, plan.nodes, plan.estimate, now);
+        self.result.submits += 1;
+        self.states[j].req_count += 1;
+        self.scratch.clear();
+        self.scheds.submit(now, plan.target, req, &mut self.scratch);
+        self.worklist.extend(self.scratch.drain(..));
+        self.note_prediction(now, j, plan.target, rid);
+        self.note_queue(plan.target);
+        rid
+    }
+
+    /// Folds a just-submitted request's wait forecast into job `j`'s
+    /// best (smallest) predicted wait, when predictions are collected.
+    fn note_prediction(&mut self, now: SimTime, j: usize, target: usize, rid: RequestId) {
+        if !self.collect_predictions {
+            return;
+        }
+        let wait = self
+            .scheds
+            .predicted_start(now, target, rid)
+            .map(|s| s.since(now))
+            .expect("request just submitted must be known");
+        let best = match self.states[j].predicted_wait {
+            Some(prev) => prev.min(wait),
+            None => wait,
+        };
+        self.states[j].predicted_wait = Some(best);
+    }
+
+    /// Frees a running request's nodes — a completion, a kill, or a
+    /// revoked same-instant start — and queues the starts that follow.
+    fn release(&mut self, now: SimTime, target: usize, rid: RequestId) {
+        self.scratch.clear();
+        self.scheds.complete(now, target, rid, &mut self.scratch);
+        self.worklist.extend(self.scratch.drain(..));
+    }
+
+    /// Cancels a request if it is still queued at `target` (counting the
+    /// cancel) and queues the starts that follow. A `false` return means
+    /// the request is unknown there or was already granted nodes.
+    fn cancel_queued(&mut self, now: SimTime, target: usize, rid: RequestId) -> bool {
+        self.scratch.clear();
+        let cancelled = self.scheds.cancel(now, target, rid, &mut self.scratch);
+        if cancelled {
+            self.result.cancels += 1;
+        }
+        self.worklist.extend(self.scratch.drain(..));
+        self.note_queue(target);
+        cancelled
+    }
+
+    /// Kills job `j`'s copy `copy`, running since `start`: the cancel is
+    /// counted, its partial work is wasted, and its queued `Complete`
+    /// event is tombstoned.
+    fn kill(&mut self, now: SimTime, j: usize, copy: usize, start: SimTime) {
+        let plan = self.plan(j, copy);
+        let rid = self
+            .copy_state(j, copy)
+            .rid
+            .expect("running copy has a request id");
+        self.result.cancels += 1;
+        self.result.wasted_node_secs += plan.nodes as f64 * now.since(start).as_secs();
+        self.dead[rid.0 as usize] = true;
+        self.copy_mut(j, copy).phase = CopyPhase::Dead;
+        self.release(now, plan.target, rid);
+        self.note_queue(plan.target);
+    }
+
+    /// Job `j` completed at `now` on `plan`, started at `start`: marks it
+    /// done and synthesizes its [`JobRecord`], counting `copies` copies.
+    fn record_job(&mut self, now: SimTime, j: usize, plan: CopyPlan, start: SimTime, copies: u32) {
+        let state = &mut self.states[j];
+        debug_assert!(!state.done, "job {j} completed twice");
+        state.done = true;
+        let rec = JobRecord {
+            job: j,
+            home: self.protocol.home(j),
+            ran_on: plan.target,
+            nodes: plan.nodes,
+            arrival: self.protocol.record_arrival(j),
+            start,
+            completion: now,
+            runtime: plan.runtime,
+            redundant: state.redundant,
+            copies,
+            predicted_wait: state.predicted_wait,
+        };
+        if let Some(obs) = &self.observer {
+            obs.borrow_mut().on_job_record(&rec);
+        }
+        self.records[j] = Some(rec);
     }
 
     fn handle_complete(&mut self, now: SimTime, req: u64) {
@@ -722,82 +798,12 @@ impl<P: SubmissionProtocol> SimDriver<P> {
         let rid = RequestId(req);
         let j = self.reqs[req as usize].job as usize;
         let plan = self.plan_of(rid);
-        let state = &mut self.states[j];
-        debug_assert_eq!(state.started.map(|(c, _)| c), Some(plan.target));
-        debug_assert!(!state.done, "job {j} completed twice");
-        state.done = true;
-
-        let (_, start) = state.started.expect("completing job must have started");
-        let rec = JobRecord {
-            job: j,
-            home: self.protocol.home(j),
-            ran_on: plan.target,
-            nodes: plan.nodes,
-            arrival: self.protocol.record_arrival(j),
-            start,
-            completion: now,
-            runtime: plan.runtime,
-            redundant: state.redundant,
-            copies: state.req_count,
-            predicted_wait: state.predicted_wait,
-        };
-        if let Some(obs) = &self.observer {
-            obs.borrow_mut().on_job_record(&rec);
-        }
-        self.records[j] = Some(rec);
-
-        self.scratch.clear();
-        self.scheds
-            .complete(now, plan.target, rid, &mut self.scratch);
-        self.worklist.extend(self.scratch.drain(..));
-        self.commit_starts(now);
-    }
-
-    /// Perfect middleware, [`CancelMode::OnCompletion`]: submits every
-    /// copy of job `j`. Unlike the on-start race there is no
-    /// short-circuit — a copy that is granted nodes executes, so all
-    /// copies stay live until the first completion. Copy states live in
-    /// the shared arena (as in faulty runs) because per-copy phases now
-    /// matter even with perfect messaging.
-    fn dispatch_racing_submits(&mut self, now: SimTime, j: usize) {
-        debug_assert_eq!(
-            self.copy_arena.len(),
-            self.states[j].plan_first as usize,
-            "copy arena must share the plan arena's offsets"
-        );
-        self.states[j].req_first = self.reqs.len() as u64;
-        for copy in 0..self.states[j].plan_len as usize {
-            let plan = self.plan(j, copy);
-            let rid = RequestId(self.reqs.len() as u64);
-            self.reqs.push(ReqInfo {
-                job: j as u32,
-                copy: copy as u32,
-            });
-            self.dead.push(false);
-            self.copy_arena.push(CopyState {
-                rid: Some(rid),
-                phase: CopyPhase::Queued,
-            });
-            let req = Request::new(rid, plan.nodes, plan.estimate, now);
-            self.result.submits += 1;
-            self.scratch.clear();
-            self.scheds.submit(now, plan.target, req, &mut self.scratch);
-            self.states[j].req_count += 1;
-            self.worklist.extend(self.scratch.drain(..));
-            if self.collect_predictions {
-                let wait = self
-                    .scheds
-                    .predicted_start(now, plan.target, rid)
-                    .map(|s| s.since(now))
-                    .expect("request just submitted must be known");
-                let best = match self.states[j].predicted_wait {
-                    Some(prev) => prev.min(wait),
-                    None => wait,
-                };
-                self.states[j].predicted_wait = Some(best);
-            }
-            self.note_queue(plan.target);
-        }
+        let (target, start) = self.states[j]
+            .started
+            .expect("completing job must have started");
+        debug_assert_eq!(target, plan.target);
+        self.record_job(now, j, plan, start, self.states[j].req_count);
+        self.release(now, plan.target, rid);
         self.commit_starts(now);
     }
 
@@ -819,30 +825,9 @@ impl<P: SubmissionProtocol> SimDriver<P> {
                 self.copy_state(j, winner).phase
             )
         };
-        debug_assert!(!self.states[j].done, "job {j} completed twice");
         self.copy_mut(j, winner).phase = CopyPhase::Dead;
-        self.states[j].done = true;
-        let rec = JobRecord {
-            job: j,
-            home: self.protocol.home(j),
-            ran_on: plan.target,
-            nodes: plan.nodes,
-            arrival: self.protocol.record_arrival(j),
-            start,
-            completion: now,
-            runtime: plan.runtime,
-            redundant: self.states[j].redundant,
-            copies: self.states[j].req_count,
-            predicted_wait: self.states[j].predicted_wait,
-        };
-        if let Some(obs) = &self.observer {
-            obs.borrow_mut().on_job_record(&rec);
-        }
-        self.records[j] = Some(rec);
-        self.scratch.clear();
-        self.scheds
-            .complete(now, plan.target, RequestId(req), &mut self.scratch);
-        self.worklist.extend(self.scratch.drain(..));
+        self.record_job(now, j, plan, start, self.states[j].req_count);
+        self.release(now, plan.target, RequestId(req));
         self.note_queue(plan.target);
 
         // The completion callback: cancel every surviving loser.
@@ -854,33 +839,14 @@ impl<P: SubmissionProtocol> SimDriver<P> {
             match cs.phase {
                 CopyPhase::Queued => {
                     let rid = cs.rid.expect("queued copy has a request id");
-                    let target = self.plan(j, loser).target;
-                    self.scratch.clear();
-                    if self.scheds.cancel(now, target, rid, &mut self.scratch) {
-                        self.result.cancels += 1;
-                        self.copy_mut(j, loser).phase = CopyPhase::Dead;
-                    }
                     // A false return means the grant raced this cancel:
                     // the copy is already in the worklist and will be
                     // revoked there (the job is done).
-                    self.worklist.extend(self.scratch.drain(..));
-                    self.note_queue(target);
+                    if self.cancel_queued(now, self.plan(j, loser).target, rid) {
+                        self.copy_mut(j, loser).phase = CopyPhase::Dead;
+                    }
                 }
-                CopyPhase::Running { start } => {
-                    // Kill the running loser; its partial work is wasted.
-                    let rid = cs.rid.expect("running copy has a request id");
-                    let loser_plan = self.plan(j, loser);
-                    self.result.cancels += 1;
-                    self.result.wasted_node_secs +=
-                        loser_plan.nodes as f64 * now.since(start).as_secs();
-                    self.dead[rid.0 as usize] = true;
-                    self.copy_mut(j, loser).phase = CopyPhase::Dead;
-                    self.scratch.clear();
-                    self.scheds
-                        .complete(now, loser_plan.target, rid, &mut self.scratch);
-                    self.worklist.extend(self.scratch.drain(..));
-                    self.note_queue(loser_plan.target);
-                }
+                CopyPhase::Running { start } => self.kill(now, j, loser, start),
                 CopyPhase::Dead => {}
                 phase => unreachable!("perfect racing copy in phase {phase:?}"),
             }
@@ -904,9 +870,7 @@ impl<P: SubmissionProtocol> SimDriver<P> {
                 // cancel saw the grant already issued): revoke.
                 self.result.aborts += 1;
                 self.copy_mut(j, copy).phase = CopyPhase::Dead;
-                self.scratch.clear();
-                self.scheds.abort(now, plan.target, rid, &mut self.scratch);
-                self.worklist.extend(self.scratch.drain(..));
+                self.release(now, plan.target, rid);
                 self.note_queue(plan.target);
                 continue;
             }
@@ -954,8 +918,7 @@ impl<P: SubmissionProtocol> SimDriver<P> {
 
     /// A submit message arrives at its scheduler (faulty runs only).
     fn handle_deliver_submit(&mut self, now: SimTime, j: usize, copy: usize) {
-        let plan = self.plan(j, copy);
-        let c = plan.target;
+        let c = self.plan(j, copy).target;
         if now < self.outage_until[c] {
             // The target is down: the middleware holds the message and
             // re-delivers at recovery.
@@ -979,44 +942,21 @@ impl<P: SubmissionProtocol> SimDriver<P> {
             self.copy_mut(j, copy).phase = CopyPhase::Dead;
             return;
         }
-        let rid = RequestId(self.reqs.len() as u64);
-        self.reqs.push(ReqInfo {
-            job: j as u32,
-            copy: copy as u32,
-        });
-        self.dead.push(false);
-        let req = Request::new(rid, plan.nodes, plan.estimate, now);
-        self.result.submits += 1;
-        self.scratch.clear();
-        self.scheds.submit(now, c, req, &mut self.scratch);
+        let rid = self.submit_copy(now, j, copy);
         *self.copy_mut(j, copy) = CopyState {
             rid: Some(rid),
             phase: CopyPhase::Queued,
         };
-        self.worklist.extend(self.scratch.drain(..));
-        if self.collect_predictions {
-            let wait = self
-                .scheds
-                .predicted_start(now, c, rid)
-                .map(|s| s.since(now))
-                .expect("request just submitted must be known");
-            let best = match self.states[j].predicted_wait {
-                Some(prev) => prev.min(wait),
-                None => wait,
-            };
-            self.states[j].predicted_wait = Some(best);
-        }
-        self.note_queue(c);
         self.commit_starts(now);
     }
 
     /// A cancel message arrives at its scheduler (faulty runs only).
     fn handle_deliver_cancel(&mut self, now: SimTime, j: usize, copy: usize) {
-        let plan = self.plan(j, copy);
+        let target = self.plan(j, copy).target;
         let cs = self.copy_state(j, copy);
-        if now < self.outage_until[plan.target] {
+        if now < self.outage_until[target] {
             self.engine.schedule(
-                self.outage_until[plan.target],
+                self.outage_until[target],
                 Event::DeliverCancel { job: j, copy },
             );
             return;
@@ -1027,26 +967,12 @@ impl<P: SubmissionProtocol> SimDriver<P> {
             }
             CopyPhase::Queued => {
                 let rid = cs.rid.expect("queued copy has a request id");
-                self.scratch.clear();
-                if self.scheds.cancel(now, plan.target, rid, &mut self.scratch) {
-                    self.result.cancels += 1;
-                }
+                self.cancel_queued(now, target, rid);
                 self.copy_mut(j, copy).phase = CopyPhase::Dead;
-                self.worklist.extend(self.scratch.drain(..));
-                self.note_queue(plan.target);
                 self.commit_starts(now);
             }
             CopyPhase::Running { start } => {
-                // Kill the running copy; its partial work is wasted.
-                let rid = cs.rid.expect("running copy has a request id");
-                self.result.cancels += 1;
-                self.result.wasted_node_secs += plan.nodes as f64 * now.since(start).as_secs();
-                self.dead[rid.0 as usize] = true;
-                self.copy_mut(j, copy).phase = CopyPhase::Dead;
-                self.scratch.clear();
-                self.scheds
-                    .complete(now, plan.target, rid, &mut self.scratch);
-                self.worklist.extend(self.scratch.drain(..));
+                self.kill(now, j, copy, start);
                 let stale_winner_killed =
                     self.states[j].winner == Some(copy) && !self.states[j].done;
                 if stale_winner_killed {
@@ -1070,7 +996,6 @@ impl<P: SubmissionProtocol> SimDriver<P> {
                     self.engine
                         .schedule(at, Event::DeliverSubmit { job: j, copy });
                 }
-                self.note_queue(plan.target);
                 self.commit_starts(now);
             }
             CopyPhase::Doomed | CopyPhase::Dead => {}
@@ -1093,33 +1018,13 @@ impl<P: SubmissionProtocol> SimDriver<P> {
             unreachable!("completing copy must be running, was {:?}", cs.phase)
         };
         self.copy_mut(j, copy).phase = CopyPhase::Dead;
-        self.scratch.clear();
-        self.scheds
-            .complete(now, plan.target, RequestId(req), &mut self.scratch);
-        self.worklist.extend(self.scratch.drain(..));
+        self.release(now, plan.target, RequestId(req));
         if self.states[j].done {
             // Zombie ran to natural completion: its whole execution is
             // wasted node-time.
             self.result.wasted_node_secs += plan.nodes as f64 * plan.runtime.as_secs();
         } else {
-            self.states[j].done = true;
-            let rec = JobRecord {
-                job: j,
-                home: self.protocol.home(j),
-                ran_on: plan.target,
-                nodes: plan.nodes,
-                arrival: self.protocol.record_arrival(j),
-                start,
-                completion: now,
-                runtime: plan.runtime,
-                redundant: self.states[j].redundant,
-                copies: self.states[j].plan_len,
-                predicted_wait: self.states[j].predicted_wait,
-            };
-            if let Some(obs) = &self.observer {
-                obs.borrow_mut().on_job_record(&rec);
-            }
-            self.records[j] = Some(rec);
+            self.record_job(now, j, plan, start, self.states[j].plan_len);
             if self.cancel_on_completion {
                 // The completion race's cancellation callback: losers
                 // are told to stand down only now, via the same lossy
@@ -1342,9 +1247,7 @@ impl<P: SubmissionProtocol> SimDriver<P> {
             if self.states[j].started.is_some() {
                 // Lost the same-instant race: revoke.
                 self.result.aborts += 1;
-                self.scratch.clear();
-                self.scheds.abort(now, plan.target, rid, &mut self.scratch);
-                self.worklist.extend(self.scratch.drain(..));
+                self.release(now, plan.target, rid);
                 continue;
             }
             // Commit: the job starts here, now.
@@ -1361,13 +1264,7 @@ impl<P: SubmissionProtocol> SimDriver<P> {
                 if rid2 == rid {
                     continue;
                 }
-                let target2 = self.plan_of(rid2).target;
-                self.scratch.clear();
-                if self.scheds.cancel(now, target2, rid2, &mut self.scratch) {
-                    self.result.cancels += 1;
-                }
-                self.worklist.extend(self.scratch.drain(..));
-                self.note_queue(target2);
+                self.cancel_queued(now, self.plan_of(rid2).target, rid2);
             }
         }
     }

@@ -7,20 +7,18 @@
 //! for an auditor to cross-check scheduler-level node occupancy against
 //! the run's waste/useful-work ledger.
 //!
-//! Observers attach in one of two ways:
-//!
-//! * directly, via [`crate::SimDriver::attach_run_observer`], when the
-//!   caller builds the driver itself (unit and integration tests);
-//! * globally, via [`install_observer_factory`]: every subsequently
-//!   constructed driver asks the factory for a fresh observer. This is
-//!   how `rbr audit` instruments registry experiments it cannot reach
-//!   into. Normal runs have no factory installed and pay nothing.
+//! Observers attach through [`install_observer_factory`]: every
+//! subsequently constructed driver asks the factory for a fresh
+//! observer and hands it to its scheduler set as well, so one observer
+//! sees both levels. This is how `rbr audit` instruments registry
+//! experiments it cannot reach into. Normal runs have no factory
+//! installed and pay nothing.
 
 use std::cell::RefCell;
 use std::rc::Rc;
 use std::sync::Mutex;
 
-use rbr_sched::{Request, RequestId, SchedObserver, StartKind};
+use rbr_sched::SchedObserver;
 use rbr_simcore::SimTime;
 
 use crate::record::{JobRecord, RunResult};
@@ -42,44 +40,6 @@ pub trait RunObserver: SchedObserver {
     /// post-processing done by callers.
     fn on_run_end(&mut self, result: &RunResult) {
         let _ = result;
-    }
-}
-
-/// Adapter presenting a [`RunObserver`] as a [`rbr_sched::SharedObserver`]
-/// by delegation (trait-object upcasting is not available on the
-/// workspace's minimum Rust version).
-pub(crate) struct ObserverAdapter(pub(crate) Rc<RefCell<dyn RunObserver>>);
-
-impl SchedObserver for ObserverAdapter {
-    fn on_attach(&mut self, sched: usize, total_nodes: u32, name: &str) {
-        self.0.borrow_mut().on_attach(sched, total_nodes, name);
-    }
-    fn on_submit(&mut self, sched: usize, now: SimTime, queue: usize, req: &Request) {
-        self.0.borrow_mut().on_submit(sched, now, queue, req);
-    }
-    fn on_start(&mut self, sched: usize, now: SimTime, req: &Request, kind: StartKind) {
-        self.0.borrow_mut().on_start(sched, now, req, kind);
-    }
-    fn on_finish(&mut self, sched: usize, now: SimTime, id: RequestId, nodes: u32) {
-        self.0.borrow_mut().on_finish(sched, now, id, nodes);
-    }
-    fn on_cancel(&mut self, sched: usize, now: SimTime, id: RequestId) {
-        self.0.borrow_mut().on_cancel(sched, now, id);
-    }
-    fn on_shadow(
-        &mut self,
-        sched: usize,
-        now: SimTime,
-        head: &Request,
-        shadow: SimTime,
-        extra: u32,
-    ) {
-        self.0
-            .borrow_mut()
-            .on_shadow(sched, now, head, shadow, extra);
-    }
-    fn on_reserve(&mut self, sched: usize, now: SimTime, id: RequestId, start: SimTime) {
-        self.0.borrow_mut().on_reserve(sched, now, id, start);
     }
 }
 

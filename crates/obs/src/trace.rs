@@ -1,7 +1,7 @@
 //! The structured trace: self-contained JSONL records on a virtual or
 //! wall clock.
 //!
-//! The sink follows the `ObserverSlot` precedent from `rbr-audit`: a
+//! The sink follows the `ObserverSlot` precedent from `rbr-sched`: a
 //! process-wide slot that is empty by default. Detached, every emit
 //! call is one relaxed load and an untaken branch. Attached (via
 //! [`start_file`], i.e. `--trace FILE` on the CLI), records are
@@ -20,6 +20,7 @@
 //!   (from [`phase`]), the input to `rbr obs trace`'s breakdown:
 //!   `{"kind":"phase","scope":"grid.run","name":"queue-ops","secs":0.42}`
 
+use std::fmt::Write as _;
 use std::fs::File;
 use std::io::{self, BufWriter, Write};
 use std::path::Path;
@@ -110,12 +111,13 @@ fn write_line(line: &str) {
 }
 
 /// Emits an `event` record at time `t` on `clock` with `fields`.
-/// No-op (one relaxed load) when no sink is attached.
+/// No-op (one relaxed load) when no sink is attached; attached, a
+/// record of up to 128 bytes allocates once, for its line.
 pub fn event(clock: Clock, t: f64, name: &str, fields: &[(&str, Field<'_>)]) {
     if !enabled() {
         return;
     }
-    let mut line = String::with_capacity(96);
+    let mut line = String::with_capacity(128);
     line.push_str("{\"kind\":\"event\",\"clock\":\"");
     line.push_str(clock.label());
     line.push_str("\",\"t\":");
@@ -131,8 +133,12 @@ pub fn event(clock: Clock, t: f64, name: &str, fields: &[(&str, Field<'_>)]) {
             write_str(&mut line, key);
             line.push(':');
             match value {
-                Field::U64(v) => line.push_str(&format!("{v}")),
-                Field::I64(v) => line.push_str(&format!("{v}")),
+                Field::U64(v) => {
+                    let _ = write!(line, "{v}");
+                }
+                Field::I64(v) => {
+                    let _ = write!(line, "{v}");
+                }
                 Field::F64(v) => write_f64(&mut line, *v, "0"),
                 Field::Str(s) => write_str(&mut line, s),
             }

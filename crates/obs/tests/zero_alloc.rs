@@ -2,7 +2,8 @@
 //! metric handle exists, updating it never allocates — not with the
 //! registry disabled (the default: one relaxed load and an untaken
 //! branch) and not with it enabled (plain atomic updates on the
-//! handle's interior). Detached trace emits are equally allocation-free.
+//! handle's interior). Detached trace emits are equally allocation-free,
+//! and an attached sink allocates once per event record: its line.
 //!
 //! Registration (`counter()`/`gauge()`/`histogram()`) is allowed to
 //! allocate — it interns the name and takes the registry lock — which
@@ -39,7 +40,7 @@ fn allocs_during(f: impl FnOnce()) -> u64 {
 }
 
 #[test]
-fn handle_updates_and_detached_emits_never_allocate() {
+fn handle_updates_and_detached_emits_never_allocate_and_records_allocate_once() {
     // Registration allocates; do it before counting.
     let c = rbr_obs::metrics::counter("zero_alloc.counter");
     let g = rbr_obs::metrics::gauge("zero_alloc.gauge");
@@ -87,5 +88,37 @@ fn handle_updates_and_detached_emits_never_allocate() {
         }),
         0,
         "detached trace emits must not allocate"
+    );
+
+    // Attached, an event record shaped like the grid driver's
+    // `grid.queue_depth` series (about 100 bytes) costs one allocation:
+    // its line buffer. Integer fields are written into it in place.
+    let path = std::env::temp_dir().join(format!("rbr-zero-alloc-{}.jsonl", std::process::id()));
+    rbr_obs::trace::start_file(&path).expect("open trace file");
+    let records = 1_000u64;
+    let n = allocs_during(|| {
+        for i in 0..records {
+            rbr_obs::trace::event(
+                rbr_obs::Clock::Sim,
+                123_456.25 + i as f64,
+                "grid.queue_depth",
+                &[
+                    ("target", rbr_obs::trace::Field::U64(i % 20)),
+                    ("depth", rbr_obs::trace::Field::U64(10_000 + i)),
+                ],
+            );
+        }
+    });
+    rbr_obs::trace::stop().expect("flush trace file");
+    let text = std::fs::read_to_string(&path).expect("read trace file");
+    let _ = std::fs::remove_file(&path);
+    assert_eq!(text.lines().count() as u64, records, "every record written");
+    assert!(
+        text.lines().all(|l| l.len() <= 128),
+        "records fit the line buffer"
+    );
+    assert!(
+        n <= records,
+        "{n} allocations for {records} attached trace records"
     );
 }

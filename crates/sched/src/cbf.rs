@@ -4,7 +4,7 @@
 //! availability profile that fits its node count for its full requested
 //! time — the moment it is submitted. A job may therefore backfill only
 //! if doing so delays no previously submitted job. When capacity frees up
-//! early (early completion, cancellation, aborted start) the schedule is
+//! early (early completion, cancellation, revoked start) the schedule is
 //! *compressed*: the profile is rebuilt from the running set and every
 //! queued request is re-reserved in submission order, which can only pull
 //! work earlier in aggregate.
@@ -232,19 +232,10 @@ impl Scheduler for CbfScheduler {
         self.observer
             .with(|s, o| o.on_finish(s, now, id, rec.request.nodes));
         if rec.requested_end > now {
-            // Early completion: capacity freed ahead of plan.
+            // Early completion, or a revoked same-instant start (estimates
+            // are positive): capacity freed ahead of plan.
             self.dirty = true;
         }
-        self.pass(now, starts);
-    }
-
-    fn abort(&mut self, now: SimTime, id: RequestId, starts: &mut Vec<RequestId>) {
-        let rec = self.core.remove(id);
-        self.observer
-            .with(|s, o| o.on_finish(s, now, id, rec.request.nodes));
-        // The aborted allocation occupied `[now, now + estimate)` in the
-        // plan; that window is now free.
-        self.dirty = true;
         self.pass(now, starts);
     }
 
@@ -260,14 +251,6 @@ impl Scheduler for CbfScheduler {
 
     fn backfills(&self) -> u64 {
         self.backfills
-    }
-
-    fn is_queued(&self, id: RequestId) -> bool {
-        self.queue.iter().any(|(r, _)| r.id == id)
-    }
-
-    fn is_running(&self, id: RequestId) -> bool {
-        self.core.is_running(id)
     }
 
     fn attach_observer(&mut self, slot: ObserverSlot) {
@@ -404,16 +387,16 @@ mod tests {
     }
 
     #[test]
-    fn abort_compresses_and_restarts() {
+    fn revoked_start_compresses_and_restarts() {
         let mut s = CbfScheduler::new(4);
         let mut starts = Vec::new();
         s.submit(t(0.0), req(1, 4, 100.0), &mut starts);
         s.submit(t(0.0), req(2, 4, 100.0), &mut starts);
         assert_eq!(starts, vec![RequestId(1)]);
         starts.clear();
-        s.abort(t(0.0), RequestId(1), &mut starts);
+        s.complete(t(0.0), RequestId(1), &mut starts);
         assert_eq!(starts, vec![RequestId(2)]);
-        assert!(s.is_running(RequestId(2)));
+        assert!(s.core.is_running(RequestId(2)));
     }
 
     #[test]

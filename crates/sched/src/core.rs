@@ -117,7 +117,7 @@ impl ClusterCore {
         self.ends.insert(i, key);
     }
 
-    /// Removes a running allocation (on completion or an aborted start),
+    /// Removes a running allocation (on completion or a revoked start),
     /// returning its record and freeing its nodes.
     ///
     /// # Panics

@@ -149,13 +149,6 @@ impl Scheduler for EasyScheduler {
         self.try_schedule(now, starts);
     }
 
-    fn abort(&mut self, now: SimTime, id: RequestId, starts: &mut Vec<RequestId>) {
-        let rec = self.core.remove(id);
-        self.observer
-            .with(|s, o| o.on_finish(s, now, id, rec.request.nodes));
-        self.try_schedule(now, starts);
-    }
-
     fn predicted_start(&self, now: SimTime, id: RequestId) -> Option<SimTime> {
         if self.core.is_running(id) {
             return Some(now);
@@ -165,14 +158,6 @@ impl Scheduler for EasyScheduler {
 
     fn backfills(&self) -> u64 {
         self.backfills
-    }
-
-    fn is_queued(&self, id: RequestId) -> bool {
-        self.queue.iter().any(|r| r.id == id)
-    }
-
-    fn is_running(&self, id: RequestId) -> bool {
-        self.core.is_running(id)
     }
 
     fn attach_observer(&mut self, slot: ObserverSlot) {
@@ -311,13 +296,13 @@ mod tests {
     }
 
     #[test]
-    fn abort_reschedules_immediately() {
+    fn revoked_start_reschedules_immediately() {
         let mut s = EasyScheduler::new(8);
         let mut starts = Vec::new();
         s.submit(t(0.0), req(1, 8, 100.0), &mut starts);
         s.submit(t(0.0), req(2, 8, 100.0), &mut starts);
         starts.clear();
-        s.abort(t(0.0), RequestId(1), &mut starts);
+        s.complete(t(0.0), RequestId(1), &mut starts);
         assert_eq!(starts, vec![RequestId(2)]);
     }
 

@@ -3,7 +3,7 @@
 //! The grid's submission protocols differ in *what* a redundant copy is
 //! (a remote cluster, a priority queue, a node-count shape) but not in
 //! the conversation they hold with the batch layer: submit, cancel,
-//! complete, abort, observe queue lengths. [`SchedulerSet`] captures that
+//! complete, observe queue lengths. [`SchedulerSet`] captures that
 //! conversation once, addressed by a dense **target** index, so one
 //! simulation driver can pump any protocol:
 //!
@@ -48,12 +48,10 @@ pub trait SchedulerSet {
         starts: &mut Vec<RequestId>,
     ) -> bool;
 
-    /// Reports that a running request at `target` finished.
+    /// Reports that a running request at `target` finished, or revokes
+    /// a start the driver refused to commit (the job began elsewhere at
+    /// this very instant).
     fn complete(&mut self, now: SimTime, target: usize, id: RequestId, starts: &mut Vec<RequestId>);
-
-    /// Revokes a start the driver refused to commit (the job began
-    /// elsewhere at this exact instant).
-    fn abort(&mut self, now: SimTime, target: usize, id: RequestId, starts: &mut Vec<RequestId>);
 
     /// Number of queued requests at `target`.
     fn queue_len(&self, target: usize) -> usize;
@@ -139,10 +137,6 @@ impl SchedulerSet for ClusterSet {
         starts: &mut Vec<RequestId>,
     ) {
         self.scheds[target].complete(now, id, starts);
-    }
-
-    fn abort(&mut self, now: SimTime, target: usize, id: RequestId, starts: &mut Vec<RequestId>) {
-        self.scheds[target].abort(now, id, starts);
     }
 
     fn queue_len(&self, target: usize) -> usize {
@@ -233,10 +227,6 @@ impl SchedulerSet for MultiQueueSet {
         starts: &mut Vec<RequestId>,
     ) {
         self.sched.complete(now, id, starts);
-    }
-
-    fn abort(&mut self, now: SimTime, _target: usize, id: RequestId, starts: &mut Vec<RequestId>) {
-        self.sched.abort(now, id, starts);
     }
 
     fn queue_len(&self, target: usize) -> usize {

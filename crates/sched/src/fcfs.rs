@@ -106,26 +106,11 @@ impl Scheduler for FcfsScheduler {
         self.try_schedule(now, starts);
     }
 
-    fn abort(&mut self, now: SimTime, id: RequestId, starts: &mut Vec<RequestId>) {
-        let rec = self.core.remove(id);
-        self.observer
-            .with(|s, o| o.on_finish(s, now, id, rec.request.nodes));
-        self.try_schedule(now, starts);
-    }
-
     fn predicted_start(&self, now: SimTime, id: RequestId) -> Option<SimTime> {
         if self.core.is_running(id) {
             return Some(now);
         }
         fifo_predicted_start(&self.core, self.queue.iter(), now, id)
-    }
-
-    fn is_queued(&self, id: RequestId) -> bool {
-        self.queue.iter().any(|r| r.id == id)
-    }
-
-    fn is_running(&self, id: RequestId) -> bool {
-        self.core.is_running(id)
     }
 
     fn attach_observer(&mut self, slot: ObserverSlot) {
@@ -207,17 +192,17 @@ mod tests {
     }
 
     #[test]
-    fn abort_frees_nodes_and_reschedules() {
+    fn revoked_start_frees_nodes_and_reschedules() {
         let mut s = FcfsScheduler::new(4);
         let mut starts = Vec::new();
         s.submit(t(0.0), req(1, 4, 100.0), &mut starts);
         s.submit(t(0.0), req(2, 4, 100.0), &mut starts);
         assert_eq!(starts, vec![RequestId(1)]);
         starts.clear();
-        s.abort(t(0.0), RequestId(1), &mut starts);
+        s.complete(t(0.0), RequestId(1), &mut starts);
         assert_eq!(starts, vec![RequestId(2)]);
-        assert!(s.is_running(RequestId(2)));
-        assert!(!s.is_running(RequestId(1)));
+        assert!(s.core.is_running(RequestId(2)));
+        assert!(!s.core.is_running(RequestId(1)));
     }
 
     #[test]

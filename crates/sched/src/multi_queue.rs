@@ -89,16 +89,6 @@ impl MultiQueueScheduler {
         self.queues.iter().map(VecDeque::len).sum()
     }
 
-    /// Whether the request is queued (in any queue).
-    pub fn is_queued(&self, id: RequestId) -> bool {
-        self.queues.iter().any(|q| q.iter().any(|r| r.id == id))
-    }
-
-    /// Whether the request is running.
-    pub fn is_running(&self, id: RequestId) -> bool {
-        self.core.is_running(id)
-    }
-
     /// Submits `req` to `queue`.
     ///
     /// # Panics
@@ -138,16 +128,9 @@ impl MultiQueueScheduler {
         false
     }
 
-    /// Reports the completion of a running request.
+    /// Reports the completion of a running request, or revokes a
+    /// same-instant start (the job began elsewhere).
     pub fn complete(&mut self, now: SimTime, id: RequestId, starts: &mut Vec<RequestId>) {
-        let rec = self.core.remove(id);
-        self.observer
-            .with(|s, o| o.on_finish(s, now, id, rec.request.nodes));
-        self.try_schedule(now, starts);
-    }
-
-    /// Revokes a same-instant start (the job began elsewhere).
-    pub fn abort(&mut self, now: SimTime, id: RequestId, starts: &mut Vec<RequestId>) {
         let rec = self.core.remove(id);
         self.observer
             .with(|s, o| o.on_finish(s, now, id, rec.request.nodes));

@@ -67,7 +67,7 @@ pub trait SchedObserver {
         let _ = (sched, now, req, kind);
     }
 
-    /// A running request released its nodes (completion or an aborted
+    /// A running request released its nodes (completion or a revoked
     /// same-instant start).
     fn on_finish(&mut self, sched: usize, now: SimTime, id: RequestId, nodes: u32) {
         let _ = (sched, now, id, nodes);

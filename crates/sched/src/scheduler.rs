@@ -44,13 +44,10 @@ pub trait Scheduler {
 
     /// Reports that a running request finished (possibly earlier than its
     /// requested end — the backfilling trigger the paper highlights).
+    /// This also revokes a start the engine refused to commit: a request
+    /// granted nodes at this very instant whose job already began
+    /// elsewhere (the zero-latency cancellation callback).
     fn complete(&mut self, now: SimTime, id: RequestId, starts: &mut Vec<RequestId>);
-
-    /// Revokes a start the engine refused to commit: the request was
-    /// granted nodes at this exact instant but its job already began
-    /// elsewhere, so the allocation is torn down immediately (the
-    /// zero-latency cancellation callback).
-    fn abort(&mut self, now: SimTime, id: RequestId, starts: &mut Vec<RequestId>);
 
     /// The scheduler's own forecast of when a request will start, based on
     /// the current queue state and requested compute times (Section 5's
@@ -66,12 +63,6 @@ pub trait Scheduler {
     fn backfills(&self) -> u64 {
         0
     }
-
-    /// Whether the request is queued.
-    fn is_queued(&self, id: RequestId) -> bool;
-
-    /// Whether the request is running.
-    fn is_running(&self, id: RequestId) -> bool;
 
     /// Attaches an observer slot delivering this scheduler's hook events
     /// (see [`crate::observe`]). The default implementation discards the
