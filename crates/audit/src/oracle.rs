@@ -11,9 +11,10 @@
 //! which is what makes agreement between them evidence.
 //!
 //! [`differential`] drives both through the same event loop (the engine's
-//! `(time, insertion-seq)` order reproduced exactly) and compares start
-//! times job by job. [`shrink`] greedily minimizes a failing workload to
-//! a smallest counterexample schedule.
+//! `(time, insertion-seq)` order reproduced exactly), including cancels of
+//! still-queued jobs, and compares start times job by job. [`shrink`]
+//! greedily minimizes a failing workload to a smallest counterexample
+//! schedule.
 
 use std::fmt;
 
@@ -33,6 +34,9 @@ pub struct OracleJob {
     /// Actual runtime (what the event loop completes with); at most
     /// `estimate`, as in the production driver.
     pub runtime: Duration,
+    /// When the job is cancelled, if ever: no earlier than `arrival`, and
+    /// a no-op unless the job is still queued then.
+    pub cancel: Option<SimTime>,
 }
 
 /// A start-time disagreement between production and reference.
@@ -42,19 +46,29 @@ pub struct Mismatch {
     pub alg: Algorithm,
     /// Index of the first disagreeing job.
     pub job: usize,
-    /// When the production scheduler started it.
-    pub production: SimTime,
-    /// When the brute-force reference started it.
-    pub reference: SimTime,
+    /// When the production scheduler started it; `None` if it was
+    /// cancelled while still queued.
+    pub production: Option<SimTime>,
+    /// When the brute-force reference started it, likewise.
+    pub reference: Option<SimTime>,
 }
 
 impl fmt::Display for Mismatch {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let show = |start: Option<SimTime>| {
+            start.map_or_else(
+                || "was cancelled while queued".to_string(),
+                |t| format!("started at {t}"),
+            )
+        };
         write!(
             f,
-            "{}: job {} started at {} in production but at {} in the \
-             brute-force reference",
-            self.alg, self.job, self.production, self.reference
+            "{}: job {} {} in production but {} in the brute-force \
+             reference",
+            self.alg,
+            self.job,
+            show(self.production),
+            show(self.reference)
         )
     }
 }
@@ -62,12 +76,16 @@ impl fmt::Display for Mismatch {
 /// The slice of the [`Scheduler`] interface the oracle event loop needs.
 trait Stepper {
     fn submit(&mut self, now: SimTime, req: Request, starts: &mut Vec<RequestId>);
+    fn cancel(&mut self, now: SimTime, id: RequestId, starts: &mut Vec<RequestId>) -> bool;
     fn complete(&mut self, now: SimTime, id: RequestId, starts: &mut Vec<RequestId>);
 }
 
 impl Stepper for Box<dyn Scheduler> {
     fn submit(&mut self, now: SimTime, req: Request, starts: &mut Vec<RequestId>) {
         (**self).submit(now, req, starts);
+    }
+    fn cancel(&mut self, now: SimTime, id: RequestId, starts: &mut Vec<RequestId>) -> bool {
+        (**self).cancel(now, id, starts)
     }
     fn complete(&mut self, now: SimTime, id: RequestId, starts: &mut Vec<RequestId>) {
         (**self).complete(now, id, starts);
@@ -169,6 +187,15 @@ impl Stepper for RefSched {
         self.pass(now, starts);
     }
 
+    fn cancel(&mut self, now: SimTime, id: RequestId, starts: &mut Vec<RequestId>) -> bool {
+        let Some(pos) = self.waiting.iter().position(|r| r.id == id) else {
+            return false;
+        };
+        self.waiting.remove(pos);
+        self.pass(now, starts);
+        true
+    }
+
     fn complete(&mut self, now: SimTime, id: RequestId, starts: &mut Vec<RequestId>) {
         let pos = self
             .running
@@ -184,21 +211,31 @@ impl Stepper for RefSched {
 #[derive(Clone, Copy)]
 enum Ev {
     Arrive(usize),
+    Cancel(usize),
     Finish(usize),
 }
 
 /// Drives `target` through the workload with the engine's event order —
 /// minimum `(time, seq)`, arrivals seeded with seqs `0..n` in job order,
-/// completions numbered in start-commit order — and returns each job's
-/// start instant.
-fn run_schedule<S: Stepper>(target: &mut S, jobs: &[OracleJob]) -> Vec<SimTime> {
+/// cancels with `n..2n`, completions numbered in start-commit order — and
+/// returns each job's start instant, `None` for a job cancelled while
+/// still queued.
+///
+/// A cancel must report exactly whether its job was still queued, so two
+/// runs with equal start lists also agree on every cancel's result.
+fn run_schedule<S: Stepper>(target: &mut S, jobs: &[OracleJob]) -> Vec<Option<SimTime>> {
     let n = jobs.len();
     let mut pending: Vec<(SimTime, u64, Ev)> = jobs
         .iter()
         .enumerate()
         .map(|(i, j)| (j.arrival, i as u64, Ev::Arrive(i)))
+        .chain(
+            jobs.iter()
+                .enumerate()
+                .filter_map(|(i, j)| j.cancel.map(|at| (at, (n + i) as u64, Ev::Cancel(i)))),
+        )
         .collect();
-    let mut seq = n as u64;
+    let mut seq = 2 * n as u64;
     let mut started: Vec<Option<SimTime>> = vec![None; n];
     while !pending.is_empty() {
         let k = (0..pending.len())
@@ -212,6 +249,14 @@ fn run_schedule<S: Stepper>(target: &mut S, jobs: &[OracleJob]) -> Vec<SimTime> 
                 let req = Request::new(RequestId(i as u64 + 1), job.nodes, job.estimate, now);
                 target.submit(now, req, &mut starts);
             }
+            Ev::Cancel(i) => {
+                let removed = target.cancel(now, RequestId(i as u64 + 1), &mut starts);
+                assert_eq!(
+                    removed,
+                    started[i].is_none(),
+                    "cancel of job {i} at {now} misreported whether it was queued"
+                );
+            }
             Ev::Finish(i) => target.complete(now, RequestId(i as u64 + 1), &mut starts),
         }
         for id in starts {
@@ -222,11 +267,10 @@ fn run_schedule<S: Stepper>(target: &mut S, jobs: &[OracleJob]) -> Vec<SimTime> 
             seq += 1;
         }
     }
+    for (i, (s, j)) in started.iter().zip(jobs).enumerate() {
+        assert!(s.is_some() || j.cancel.is_some(), "job {i} never started");
+    }
     started
-        .into_iter()
-        .enumerate()
-        .map(|(i, s)| s.unwrap_or_else(|| panic!("job {i} never started")))
-        .collect()
 }
 
 fn validate(alg: Algorithm, nodes: u32, jobs: &[OracleJob]) {
@@ -249,18 +293,24 @@ fn validate(alg: Algorithm, nodes: u32, jobs: &[OracleJob]) {
             j.runtime,
             j.estimate
         );
+        assert!(
+            j.cancel.is_none_or(|at| at >= j.arrival),
+            "oracle job {i} is cancelled before it arrives"
+        );
     }
 }
 
-/// Start times under the production scheduler.
-pub fn production_starts(alg: Algorithm, nodes: u32, jobs: &[OracleJob]) -> Vec<SimTime> {
+/// Start times under the production scheduler (`None`: cancelled while
+/// queued).
+pub fn production_starts(alg: Algorithm, nodes: u32, jobs: &[OracleJob]) -> Vec<Option<SimTime>> {
     validate(alg, nodes, jobs);
     let mut sched = alg.build(nodes);
     run_schedule(&mut sched, jobs)
 }
 
-/// Start times under the brute-force reference.
-pub fn reference_starts(alg: Algorithm, nodes: u32, jobs: &[OracleJob]) -> Vec<SimTime> {
+/// Start times under the brute-force reference (`None`: cancelled while
+/// queued).
+pub fn reference_starts(alg: Algorithm, nodes: u32, jobs: &[OracleJob]) -> Vec<Option<SimTime>> {
     validate(alg, nodes, jobs);
     let mut sched = RefSched::new(alg == Algorithm::Easy, nodes);
     run_schedule(&mut sched, jobs)
@@ -334,10 +384,17 @@ mod tests {
             nodes,
             estimate: Duration::from_secs(est),
             runtime: Duration::from_secs(run),
+            cancel: None,
         }
     }
-    fn t(s: f64) -> SimTime {
-        SimTime::from_secs(s)
+    fn cancelled(at: f64, j: OracleJob) -> OracleJob {
+        OracleJob {
+            cancel: Some(SimTime::from_secs(at)),
+            ..j
+        }
+    }
+    fn t(s: f64) -> Option<SimTime> {
+        Some(SimTime::from_secs(s))
     }
 
     #[test]
@@ -407,6 +464,57 @@ mod tests {
         for alg in [Algorithm::Fcfs, Algorithm::Easy] {
             for jobs in &workloads {
                 differential(alg, 10, jobs).unwrap_or_else(|m| panic!("{m}"));
+            }
+        }
+    }
+
+    #[test]
+    fn reference_cancel_drops_only_queued_jobs() {
+        // The blocked head is cancelled at 10; the running job's cancel
+        // at 50 is a no-op. The 4-node tail still waits for the release.
+        let jobs = [
+            cancelled(50.0, job(0.0, 8, 100.0, 100.0)),
+            cancelled(10.0, job(0.0, 8, 50.0, 50.0)),
+            job(0.0, 4, 500.0, 500.0),
+        ];
+        let starts = reference_starts(Algorithm::Easy, 10, &jobs);
+        assert_eq!(starts, vec![t(0.0), None, t(100.0)]);
+    }
+
+    #[test]
+    fn production_agrees_where_easy_resumes_its_sweep() {
+        let workloads: Vec<(u32, Vec<OracleJob>)> = vec![
+            // A cancel before the sweep's stopping point, then an early
+            // completion at 10 that resumes the sweep.
+            (
+                10,
+                vec![
+                    job(0.0, 2, 50.0, 10.0),
+                    job(0.0, 6, 100.0, 100.0),
+                    job(0.0, 9, 100.0, 100.0),
+                    cancelled(1.0, job(0.0, 2, 500.0, 500.0)),
+                    job(0.0, 2, 50.0, 50.0),
+                    job(0.0, 1, 10.0, 10.0),
+                ],
+            ),
+            // A backfill ending exactly at the shadow raises the next
+            // pass's recomputed spare count.
+            (
+                11,
+                vec![
+                    job(0.0, 1, 100.0, 100.0),
+                    job(0.0, 1, 100.0, 100.0),
+                    job(0.0, 4, 100.0, 100.0),
+                    job(0.0, 6, 100.0, 100.0),
+                    job(0.0, 1, 500.0, 500.0),
+                    job(0.0, 4, 100.0, 100.0),
+                    job(0.0, 1, 500.0, 500.0),
+                ],
+            ),
+        ];
+        for alg in [Algorithm::Fcfs, Algorithm::Easy] {
+            for (nodes, jobs) in &workloads {
+                differential(alg, *nodes, jobs).unwrap_or_else(|m| panic!("{m}"));
             }
         }
     }

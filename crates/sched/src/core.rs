@@ -165,9 +165,15 @@ impl ClusterCore {
 
     /// The EASY shadow computation: given the head request that cannot
     /// start now, returns `(shadow, extra)` where `shadow` is the earliest
-    /// instant the head can start according to requested ends, and
-    /// `extra` is the number of nodes that will still be free at that
-    /// instant after the head starts.
+    /// instant the head can start according to requested ends.
+    ///
+    /// `extra` is counted at the first release that covers the head: the
+    /// free nodes plus the releases up to and including that one, in
+    /// `(requested_end, nodes)` order, less the head's width. Later
+    /// releases at the same instant are not counted, so `extra` can fall
+    /// short of the nodes spare at `shadow` once the head starts. With 5
+    /// nodes free, releases of 1, 1 and 4 nodes at `shadow` and a 6-node
+    /// head, 5 nodes are spare but `extra` is 0.
     ///
     /// # Panics
     /// Panics if the head actually fits now (callers must start it

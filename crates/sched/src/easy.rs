@@ -9,10 +9,14 @@
 //! Backfilling opportunities appear whenever a request is submitted,
 //! canceled, or a job finishes early — the three churn sources redundant
 //! requests amplify, which is exactly why the paper studies them.
+//!
+//! Each pass resumes the sweep where the previous one stopped when
+//! nothing since can have made an earlier refusal admissible (see
+//! `Swept`), so a deep queue is not rescanned on every event.
 
 use std::collections::VecDeque;
 
-use rbr_simcore::SimTime;
+use rbr_simcore::{Duration, SimTime};
 
 use crate::core::ClusterCore;
 use crate::observe::{ObserverSlot, StartKind};
@@ -26,6 +30,31 @@ pub struct EasyScheduler {
     queue: VecDeque<Request>,
     backfills: u64,
     observer: ObserverSlot,
+    /// What the last backfilling sweep proved; kept across early returns.
+    swept: Option<Swept>,
+}
+
+/// The record a backfilling sweep leaves: every candidate before `len`
+/// was refused, either for width (`nodes >= wide`) or for outliving the
+/// shadow with `nodes > extra`. A later pass behind the same head may
+/// start at `len` if `budget` and `extra` have not grown and `free` is
+/// still below `wide`: each of those refusals then still holds, and
+/// within a pass `free` and `extra` only fall. Request ids are never
+/// reused, so the same head id means no phase-1 start and no cancel of
+/// the head happened in between; cancels behind the head shift `len`.
+#[derive(Clone, Copy, Debug)]
+struct Swept {
+    /// The blocked head the sweep ran behind.
+    head: RequestId,
+    /// `shadow − now`; `None` when the shadow had passed.
+    budget: Option<Duration>,
+    /// Spare nodes left at the end of the sweep.
+    extra: u32,
+    /// The narrowest candidate refused because `nodes > free`
+    /// (`u32::MAX` if none was).
+    wide: u32,
+    /// The queue index where the sweep stopped.
+    len: usize,
 }
 
 impl EasyScheduler {
@@ -36,11 +65,13 @@ impl EasyScheduler {
             queue: VecDeque::new(),
             backfills: 0,
             observer: ObserverSlot::empty(),
+            swept: None,
         }
     }
 
     /// One scheduling pass: start from the head while it fits, then a
-    /// single backfilling sweep protected by the head's shadow.
+    /// single backfilling sweep protected by the head's shadow, resumed
+    /// from the last sweep's `Swept` record when that is sound.
     fn try_schedule(&mut self, now: SimTime, starts: &mut Vec<RequestId>) {
         // Phase 1: strict FIFO starts.
         while let Some(head) = self.queue.front() {
@@ -62,40 +93,60 @@ impl EasyScheduler {
         let (shadow, mut extra) = self.core.shadow(&head);
         self.observer
             .with(|s, o| o.on_shadow(s, now, &head, shadow, extra));
-        let mut i = 1;
-        while i < self.queue.len() {
-            if self.core.free() == 0 {
-                return;
-            }
-            let cand = self.queue[i];
-            if cand.nodes <= self.core.free() {
-                let ends_by_shadow = cand.end_if_started(now) <= shadow;
-                if ends_by_shadow || cand.nodes <= extra {
-                    if !ends_by_shadow {
-                        // The job outlives the shadow: it must fit in the
-                        // nodes the head will not need.
-                        extra -= cand.nodes;
-                    }
-                    self.queue.remove(i).expect("index in bounds");
-                    self.core.start(now, cand);
-                    self.backfills += 1;
-                    self.observer
-                        .with(|s, o| o.on_start(s, now, &cand, StartKind::Backfill));
-                    starts.push(cand.id);
-                    continue; // i now points at the next candidate
+        // A candidate ends by the shadow iff its estimate fits in the
+        // budget; once the shadow has passed, none does.
+        let budget = (shadow >= now).then(|| shadow.since(now));
+        let ends_by_shadow = |c: &Request| budget.is_some_and(|b| c.estimate <= b);
+        let mut free = self.core.free();
+        let resume = self.swept.filter(|w| {
+            w.head == head.id && budget <= w.budget && extra <= w.extra && free < w.wide
+        });
+        let (mut i, mut wide) = resume.map_or((1, u32::MAX), |w| (w.len, w.wide));
+        while free > 0 {
+            let found = self.queue.range(i..).position(|c| {
+                if c.nodes > free {
+                    wide = wide.min(c.nodes);
+                    return false;
                 }
+                ends_by_shadow(c) || c.nodes <= extra
+            });
+            let Some(k) = found else {
+                i = self.queue.len();
+                break;
+            };
+            i += k;
+            // Removing the candidate slides its successor into slot `i`.
+            let cand = self.queue.remove(i).expect("index in bounds");
+            if !ends_by_shadow(&cand) {
+                // The job outlives the shadow: it must fit in the nodes
+                // the head will not need.
+                extra -= cand.nodes;
             }
-            i += 1;
+            self.core.start(now, cand);
+            free -= cand.nodes;
+            self.backfills += 1;
+            self.observer
+                .with(|s, o| o.on_start(s, now, &cand, StartKind::Backfill));
+            starts.push(cand.id);
         }
+        self.swept = Some(Swept {
+            head: head.id,
+            budget,
+            extra,
+            wide,
+            len: i,
+        });
     }
 
     fn remove_queued(&mut self, id: RequestId) -> bool {
-        if let Some(pos) = self.queue.iter().position(|r| r.id == id) {
-            self.queue.remove(pos);
-            true
-        } else {
-            false
+        let Some(pos) = self.queue.iter().position(|r| r.id == id) else {
+            return false;
+        };
+        self.queue.remove(pos);
+        if let Some(w) = self.swept.as_mut().filter(|w| pos < w.len) {
+            w.len -= 1;
         }
+        true
     }
 }
 
@@ -304,6 +355,88 @@ mod tests {
         starts.clear();
         s.complete(t(0.0), RequestId(1), &mut starts);
         assert_eq!(starts, vec![RequestId(2)]);
+    }
+
+    /// `ClusterCore::shadow` stops at the first release that covers the
+    /// head, so a backfill ending exactly at the shadow can raise the
+    /// recomputed `extra`: the next pass must sweep from the front.
+    #[test]
+    fn resume_needs_extra_not_to_grow() {
+        let mut s = EasyScheduler::new(11);
+        let mut starts = Vec::new();
+        s.submit(t(0.0), req(1, 1, 100.0), &mut starts);
+        s.submit(t(0.0), req(2, 1, 100.0), &mut starts);
+        s.submit(t(0.0), req(3, 4, 100.0), &mut starts); // 5 free; all end at S = 100
+        s.submit(t(0.0), req(4, 6, 100.0), &mut starts); // blocked head: extra 0
+        s.submit(t(0.0), req(5, 1, 500.0), &mut starts); // outlives S, 1 > extra: refused
+        s.submit(t(0.0), req(6, 4, 100.0), &mut starts); // ends at S: backfills
+        assert_eq!(
+            starts,
+            vec![RequestId(1), RequestId(2), RequestId(3), RequestId(6)]
+        );
+        starts.clear();
+        // Releases 1 + 1 + 4 now cover the head with 1 to spare: job 5,
+        // refused before, takes the last free node ahead of job 7.
+        s.submit(t(0.0), req(7, 1, 500.0), &mut starts);
+        assert_eq!(starts, vec![RequestId(5)]);
+    }
+
+    /// A completion that lifts `free` to the narrowest width refused
+    /// for want of nodes must send the next pass back to the front.
+    #[test]
+    fn resume_needs_free_below_the_narrowest_refused_width() {
+        let mut s = EasyScheduler::new(10);
+        let mut starts = Vec::new();
+        s.submit(t(0.0), req(1, 1, 50.0), &mut starts);
+        s.submit(t(0.0), req(2, 7, 100.0), &mut starts); // 2 free
+        s.submit(t(0.0), req(3, 8, 100.0), &mut starts); // blocked head: shadow 100, extra 2
+        s.submit(t(0.0), req(4, 3, 50.0), &mut starts); // ends by S, but 3 > 2 free
+        assert_eq!(starts, vec![RequestId(1), RequestId(2)]);
+        starts.clear();
+        // Job 1 ends early: 3 free, with the shadow and extra unchanged.
+        s.complete(t(10.0), RequestId(1), &mut starts);
+        assert_eq!(starts, vec![RequestId(4)]);
+    }
+
+    /// A cancel before the sweep's stopping point shifts the queue, so
+    /// the resumed sweep must start one slot earlier.
+    #[test]
+    fn resume_after_a_cancel_before_the_stopping_point() {
+        let mut s = EasyScheduler::new(10);
+        let mut starts = Vec::new();
+        s.submit(t(0.0), req(1, 2, 50.0), &mut starts);
+        s.submit(t(0.0), req(2, 6, 100.0), &mut starts); // 2 free
+        s.submit(t(0.0), req(3, 9, 100.0), &mut starts); // blocked head: shadow 100, extra 1
+        s.submit(t(0.0), req(4, 2, 500.0), &mut starts); // outlives S, 2 > extra: refused
+        s.submit(t(0.0), req(5, 2, 50.0), &mut starts); // ends by S: backfills, 0 free
+        s.submit(t(0.0), req(6, 1, 10.0), &mut starts); // no free node: waits
+        assert_eq!(starts, vec![RequestId(1), RequestId(2), RequestId(5)]);
+        starts.clear();
+        assert!(s.cancel(t(1.0), RequestId(4), &mut starts));
+        // Job 1 ends early: 2 free, same shadow and extra, so the pass
+        // resumes — at job 6, which the cancel moved into job 4's slot.
+        s.complete(t(10.0), RequestId(1), &mut starts);
+        assert_eq!(starts, vec![RequestId(6)]);
+    }
+
+    /// A phase-1 start pops the head without touching the record's
+    /// `len`, so a pass behind the new head must sweep from the front.
+    #[test]
+    fn resume_needs_the_same_head() {
+        let mut s = EasyScheduler::new(10);
+        let mut starts = Vec::new();
+        s.submit(t(0.0), req(1, 6, 100.0), &mut starts); // 4 free
+        s.submit(t(0.0), req(2, 5, 100.0), &mut starts); // blocked head: shadow 100, extra 5
+        s.submit(t(0.0), req(3, 5, 100.0), &mut starts); // 5 > 4 free: refused
+        s.submit(t(0.0), req(4, 4, 50.0), &mut starts); // ends by S: backfills, 0 free
+        s.submit(t(0.0), req(5, 1, 10.0), &mut starts); // no free node: waits
+        s.submit(t(0.0), req(6, 2, 10.0), &mut starts); // no free node: waits
+        assert_eq!(starts, vec![RequestId(1), RequestId(4)]);
+        starts.clear();
+        // Job 1 ends early: job 2 starts, job 3 heads the queue with
+        // shadow 50 and extra 0, and job 5 fits the one free node.
+        s.complete(t(10.0), RequestId(1), &mut starts);
+        assert_eq!(starts, vec![RequestId(2), RequestId(5)]);
     }
 
     #[test]
