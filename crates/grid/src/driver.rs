@@ -104,6 +104,7 @@
 //! ```
 
 use std::cell::RefCell;
+use std::cmp::Reverse;
 use std::collections::VecDeque;
 use std::rc::Rc;
 use std::time::Instant;
@@ -214,7 +215,8 @@ pub trait SubmissionProtocol {
 /// Engine events.
 #[derive(Clone, Copy, Debug)]
 enum Event {
-    /// A job arrives (index into the job table).
+    /// A job arrives (index into the job table). Delivered from the
+    /// driver's [`Arrivals`], never scheduled in the engine.
     Submit(usize),
     /// A running request finishes (dense request index; its target is
     /// recovered from the copy plan).
@@ -325,12 +327,45 @@ struct JobState {
     req_count: u32,
 }
 
+/// Jobs not yet arrived, in reverse `(arrival, index)` order so the next
+/// one is at the end: four bytes a job, released as the run drains.
+///
+/// Arrivals stay out of the engine's pending set, and each wins every
+/// same-instant tie against it: the order that scheduling all arrivals
+/// before any other event gives. [`SimDriver::next_event`] delivers the
+/// next arrival unless the engine holds an event strictly earlier.
+struct Arrivals {
+    rev: Vec<u32>,
+}
+
+impl Arrivals {
+    fn new(protocol: &impl SubmissionProtocol) -> Self {
+        let n = u32::try_from(protocol.n_jobs()).expect("job count fits in u32");
+        let mut rev: Vec<u32> = (0..n).collect();
+        // The keys are unique, so the unstable sort is deterministic.
+        rev.sort_unstable_by_key(|&j| Reverse((protocol.arrival(j as usize), j)));
+        Arrivals { rev }
+    }
+
+    fn peek(&self) -> Option<usize> {
+        self.rev.last().map(|&j| j as usize)
+    }
+
+    fn pop(&mut self) {
+        self.rev.pop();
+        if self.rev.len() < self.rev.capacity() / 4 {
+            self.rev.shrink_to(self.rev.capacity() / 2);
+        }
+    }
+}
+
 /// The shared event loop: owns the engine pump, the scheduler set, the
 /// request bookkeeping, and the [`RunResult`] accounting for every
 /// [`SubmissionProtocol`].
 pub struct SimDriver<P: SubmissionProtocol> {
     protocol: P,
     engine: Engine<Event>,
+    arrivals: Arrivals,
     scheds: Box<dyn SchedulerSet>,
     /// Flat copy-plan arena; job `j`'s plans are the `plan_first ..
     /// plan_first + plan_len` slice recorded in its [`JobState`].
@@ -394,7 +429,8 @@ const PHASE_SAMPLE_EVERY: u64 = 16;
 /// Wall-clock phase accumulators for the event loop's sampled events.
 #[derive(Default)]
 struct PhaseTimers {
-    /// Seconds inside `Engine::pop` (event-queue operations).
+    /// Seconds taking the next event: the arrival merge and the engine
+    /// pop (event-queue operations).
     queue_ops: f64,
     /// Seconds inside event handlers (protocol + placement).
     handler: f64,
@@ -404,8 +440,8 @@ struct PhaseTimers {
 }
 
 impl<P: SubmissionProtocol> SimDriver<P> {
-    /// Builds the driver: schedules every job's arrival, then (with
-    /// faulty middleware) the configured outages.
+    /// Builds the driver: sorts the jobs by arrival and (with faulty
+    /// middleware) schedules the configured outages.
     ///
     /// `rng` is handed to [`SubmissionProtocol::place_into`] untouched, so the
     /// protocol fully owns its draw sequence. `collect_predictions`
@@ -421,9 +457,6 @@ impl<P: SubmissionProtocol> SimDriver<P> {
         let n_jobs = protocol.n_jobs();
         let n_targets = scheds.n_targets();
         let mut engine = Engine::new();
-        for j in 0..n_jobs {
-            engine.schedule(protocol.arrival(j), Event::Submit(j));
-        }
         if let Some(model) = &faults {
             for o in &model.spec().outages {
                 engine.schedule(
@@ -449,6 +482,7 @@ impl<P: SubmissionProtocol> SimDriver<P> {
                 ..Default::default()
             },
             engine,
+            arrivals: Arrivals::new(&protocol),
             scheds,
             plan_arena: Vec::with_capacity(n_jobs * 2),
             copy_arena: Vec::new(),
@@ -486,7 +520,7 @@ impl<P: SubmissionProtocol> SimDriver<P> {
             let sampled =
                 self.phases.is_some() && self.engine.processed().is_multiple_of(PHASE_SAMPLE_EVERY);
             let pop_t0 = sampled.then(Instant::now);
-            let Some((now, event)) = self.engine.pop() else {
+            let Some((now, event)) = self.next_event() else {
                 break;
             };
             let handler_t0 = sampled.then(Instant::now);
@@ -524,6 +558,21 @@ impl<P: SubmissionProtocol> SimDriver<P> {
         }
         self.flush_obs();
         self.result
+    }
+
+    /// The next event in `(time, seq)` order: the next arrival, unless
+    /// the engine holds an event strictly earlier.
+    fn next_event(&mut self) -> Option<(SimTime, Event)> {
+        let Some(j) = self.arrivals.peek() else {
+            return self.engine.pop();
+        };
+        let at = self.protocol.arrival(j);
+        if let Some(popped) = self.engine.pop_before(at) {
+            return Some(popped);
+        }
+        self.arrivals.pop();
+        self.engine.step_to(at);
+        Some((at, Event::Submit(j)))
     }
 
     /// Emits one `grid.queue_depth` trace record per target at the

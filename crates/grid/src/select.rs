@@ -80,7 +80,18 @@ impl SelectionPolicy {
         }
         match *self {
             SelectionPolicy::Uniform => {
-                weighted_without_replacement(rng, eligible, k, |_| 1.0, scratch, out)
+                // The weighted scan with unit weights, in O(1) a pick: the
+                // total is exactly `m`, and subtracting 1.0 from any
+                // x < 2⁵² is exact, so the scan stops at ⌊u·m⌋ (or falls
+                // back to the last item if u·m rounded up to m).
+                let pool = &mut scratch.pool;
+                pool.clear();
+                pool.extend_from_slice(eligible);
+                for _ in 0..k {
+                    let m = pool.len();
+                    let idx = ((unit(rng) * m as f64) as usize).min(m - 1);
+                    out.push(pool.swap_remove(idx));
+                }
             }
             SelectionPolicy::Biased { ratio } => {
                 assert!(
@@ -207,6 +218,45 @@ mod tests {
                 "cluster {i} vs {}: ratio {ratio}",
                 i + 1
             );
+        }
+    }
+
+    /// Uniform picks are the weighted scan with unit weights: the same
+    /// targets in the same order, and the same draws consumed.
+    #[test]
+    fn uniform_equals_unit_weight_scan() {
+        let mut scratch = SelectionScratch::default();
+        let (mut fast, mut scan) = (Vec::new(), Vec::new());
+        for m in 1..=64usize {
+            // Sparse, shuffled global indices, so the pool's contents and
+            // order matter, not only its length.
+            let eligible: Vec<usize> = (0..m).map(|i| (i * 37 + 11) % 101).collect();
+            for k in [0, 1, m / 2, m - 1, m] {
+                for seed in 0..480u64 {
+                    let mut a = SeedSequence::new(seed).rng();
+                    let mut b = a.clone();
+                    fast.clear();
+                    scan.clear();
+                    SelectionPolicy::Uniform.choose_into(
+                        &mut a,
+                        &eligible,
+                        k,
+                        &[],
+                        &mut scratch,
+                        &mut fast,
+                    );
+                    weighted_without_replacement(
+                        &mut b,
+                        &eligible,
+                        k,
+                        |_| 1.0,
+                        &mut scratch,
+                        &mut scan,
+                    );
+                    assert_eq!(fast, scan, "m {m} k {k} seed {seed}");
+                    assert_eq!(a.next_u64(), b.next_u64(), "m {m} k {k} seed {seed}");
+                }
+            }
         }
     }
 

@@ -159,7 +159,9 @@ impl SubmissionProtocol for MultiCluster {
             self.eligible
                 .extend((0..n).filter(|&c| c != home && self.cluster_nodes[c] >= spec.nodes));
             self.queue_lens.clear();
-            self.queue_lens.extend((0..n).map(|c| scheds.queue_len(c)));
+            if self.selection == SelectionPolicy::LeastLoaded {
+                self.queue_lens.extend((0..n).map(|c| scheds.queue_len(c)));
+            }
             self.selection.choose_into(
                 rng,
                 &self.eligible,
@@ -172,7 +174,7 @@ impl SubmissionProtocol for MultiCluster {
         out.extend(self.targets.iter().map(|&c| CopyPlan {
             target: c,
             nodes: spec.nodes,
-            estimate: if c == home {
+            estimate: if c == home || self.remote_inflation == 0.0 {
                 spec.estimate
             } else {
                 spec.estimate.scale(1.0 + self.remote_inflation)
@@ -272,6 +274,38 @@ mod tests {
         let mut cfg = GridConfig::homogeneous(n, scheme);
         cfg.window = Duration::from_secs(1800.0); // half an hour keeps tests fast
         cfg
+    }
+
+    /// A job arriving at the instant another completes is submitted
+    /// before the completion is handled, as if every arrival had been
+    /// scheduled ahead of all other events: it queues while the nodes
+    /// are still held.
+    #[test]
+    fn arrivals_win_same_instant_ties() {
+        let mut cfg = GridConfig::homogeneous(1, Scheme::None);
+        cfg.clusters[0] = crate::config::ClusterSpec::new(3, cfg.clusters[0].workload);
+        let job = |at: f64, nodes: u32, secs: f64| {
+            let runtime = Duration::from_secs(secs);
+            let arrival = SimTime::from_secs(at);
+            (
+                JobSpec {
+                    arrival,
+                    nodes,
+                    runtime,
+                    estimate: runtime,
+                },
+                0,
+            )
+        };
+        // The first job holds all three nodes until 10; the second queues
+        // at 1; the third arrives at 10.
+        let jobs = vec![job(0.0, 3, 10.0), job(1.0, 2, 5.0), job(10.0, 1, 100.0)];
+        let result = GridSim::with_jobs(cfg, jobs, SeedSequence::new(0)).run();
+        // Handling the completion first would start the second job before
+        // the third arrived, and the queue would never hold two.
+        assert_eq!(result.max_queue_len, vec![2]);
+        assert_eq!(result.records[2].start, SimTime::from_secs(10.0));
+        assert_eq!(result.events, 6);
     }
 
     #[test]

@@ -241,12 +241,13 @@ fn dual_queue_same_seed_is_bit_identical() {
     }
 }
 
-/// The pending-event set has two implementations (the calendar queue the
-/// simulator runs on, and the reference binary heap); a whole grid
+/// The pending-event set has two implementations (the binary heap the
+/// simulator runs on by default, and the calendar queue); a whole grid
 /// experiment must produce a byte-identical report on either. This is the
 /// end-to-end check that the calendar queue's pop order — including FIFO
 /// ties, which the race/cancel/abort protocol is exquisitely sensitive
-/// to — matches the heap's exactly.
+/// to, and the driver's arrival merge through `pop_before` — matches the
+/// heap's exactly.
 #[test]
 fn both_queue_kinds_produce_identical_reports() {
     use rbr_simcore::{with_queue_kind, QueueKind};

@@ -4,6 +4,15 @@
 //! scheduled at or after the current instant — and advances the clock as
 //! events are popped. The domain layers (schedulers, grid, middleware)
 //! drive their own event loops on top of this.
+//!
+//! A caller may also keep a presorted stream of events outside the
+//! pending set and merge it in with [`Engine::pop_before`] and
+//! [`Engine::step_to`]. The grid driver does this with job arrivals: a
+//! run's whole arrival stream is known up front, so it never needs the
+//! pending set's ordering, and keeping it out leaves the set holding
+//! only in-flight events. The merge gives the stream every same-instant
+//! tie, exactly as if its events had been scheduled before any other,
+//! and [`Engine::processed`] counts both sources.
 
 use crate::queue::{EventQueue, QueueStats};
 use crate::time::{Duration, SimTime};
@@ -77,13 +86,46 @@ impl<E> Engine<E> {
     /// Returns `None` when no events remain (simulation has drained).
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         let (t, e) = self.queue.pop()?;
-        debug_assert!(
-            t >= self.now,
-            "event queue delivered an event from the past"
+        self.advance(t);
+        Some((t, e))
+    }
+
+    /// Pops the earliest event if it is strictly before `limit`, advancing
+    /// the clock to its timestamp. Returns `None`, with the clock
+    /// unchanged, when the set is empty or its earliest event is at or
+    /// after `limit`.
+    ///
+    /// With `limit` the time of a caller's next outside event, a `None`
+    /// means that event goes next: deliver it with [`Engine::step_to`].
+    pub fn pop_before(&mut self, limit: SimTime) -> Option<(SimTime, E)> {
+        let (t, e) = self.queue.pop_before(limit)?;
+        self.advance(t);
+        Some((t, e))
+    }
+
+    /// Advances the clock to `at` and counts one processed event, for an
+    /// event the caller delivers from outside the pending set (see
+    /// [`Engine::pop_before`]).
+    ///
+    /// # Panics
+    /// Panics if `at` is in the past.
+    pub fn step_to(&mut self, at: SimTime) {
+        assert!(
+            at >= self.now,
+            "cannot step back in time: {at} < now {}",
+            self.now
         );
+        debug_assert!(
+            self.queue.peek_time().is_none_or(|t| t >= at),
+            "stepped over a pending event"
+        );
+        self.advance(at);
+    }
+
+    fn advance(&mut self, t: SimTime) {
+        debug_assert!(t >= self.now, "event delivered from the past");
         self.now = t;
         self.processed += 1;
-        Some((t, e))
     }
 
     /// The timestamp of the next event without popping it.
@@ -155,6 +197,29 @@ mod tests {
         });
         assert_eq!(seen, vec![0, 1, 2, 3]);
         assert_eq!(eng.now(), SimTime::from_secs(4.0));
+    }
+
+    #[test]
+    fn pop_before_and_step_to_merge_an_outside_stream() {
+        let mut eng: Engine<&str> = Engine::new();
+        eng.schedule(SimTime::from_secs(2.0), "pending");
+        assert_eq!(eng.pop_before(SimTime::from_secs(2.0)), None);
+        assert_eq!(eng.now(), SimTime::ZERO);
+        eng.step_to(SimTime::from_secs(2.0));
+        assert_eq!((eng.now(), eng.processed()), (SimTime::from_secs(2.0), 1));
+        assert_eq!(
+            eng.pop_before(SimTime::from_secs(3.0)),
+            Some((SimTime::from_secs(2.0), "pending"))
+        );
+        assert_eq!(eng.processed(), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "step back in time")]
+    fn stepping_into_the_past_panics() {
+        let mut eng: Engine<()> = Engine::new();
+        eng.step_to(SimTime::from_secs(10.0));
+        eng.step_to(SimTime::from_secs(1.0));
     }
 
     #[test]

@@ -7,18 +7,20 @@
 //!
 //! Two implementations share that contract:
 //!
-//! * [`QueueKind::Calendar`] (the default) — a calendar queue (Brown,
-//!   CACM 1988): a circular array of day-buckets over a fixed time
-//!   `width`, resized as the population grows and shrinks so the average
-//!   bucket holds O(1) events. Push appends into a bucket (amortized
-//!   O(1), no per-event allocation once bucket capacity has warmed up);
-//!   pop scans the current day's bucket for the `(time, seq)` minimum
-//!   and only walks forward on empty days. Events live inline in the
-//!   bucket arenas — no boxing, and `swap_remove` recycles slots.
-//! * [`QueueKind::Heap`] — the original `BinaryHeap` keyed on
-//!   `(Reverse(time), Reverse(seq))`. Kept as the reference
-//!   implementation: the equivalence suite drives both with identical
+//! * [`QueueKind::Heap`] (the default) — a `BinaryHeap` keyed on
+//!   `(Reverse(time), Reverse(seq))`; O(log n) push and pop. It is also
+//!   the reference implementation: the seeds 0–3 goldens were first cut
+//!   on it, and the equivalence suite drives both kinds with identical
 //!   schedules and demands identical pop sequences.
+//! * [`QueueKind::Calendar`] — a calendar queue (Brown, CACM 1988): a
+//!   circular array of day-buckets over a fixed time `width`, resized as
+//!   the population grows and shrinks so the average bucket holds O(1)
+//!   events. Push appends into a bucket; pop scans the current day's
+//!   bucket for the `(time, seq)` minimum and only walks forward on
+//!   empty days. It pays off on a large, evenly spread population. The
+//!   grid driver keeps job arrivals out of the pending set, so what
+//!   remains is small and bimodal (completions hours out, deliveries
+//!   seconds out), its width heuristic goes stale, and the heap wins.
 //!
 //! Both deliver the exact same sequence for the same pushes — the
 //! calendar queue selects the in-window minimum by `(time, seq)`, so
@@ -29,6 +31,7 @@
 
 use std::cell::Cell;
 use std::cmp::Ordering;
+use std::collections::binary_heap::PeekMut;
 use std::collections::BinaryHeap;
 
 use crate::time::SimTime;
@@ -36,22 +39,24 @@ use crate::time::SimTime;
 /// Which pending-event-set implementation an [`EventQueue`] uses.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum QueueKind {
-    /// Bucketed calendar queue — the default; O(1) amortized push/pop.
+    /// Bucketed calendar queue; O(1) amortized push/pop while its width
+    /// fits the population.
     Calendar,
-    /// Binary heap — the reference implementation; O(log n) push/pop.
+    /// Binary heap — the default and the reference implementation;
+    /// O(log n) push/pop.
     Heap,
 }
 
 thread_local! {
-    static DEFAULT_KIND: Cell<QueueKind> = const { Cell::new(QueueKind::Calendar) };
+    static DEFAULT_KIND: Cell<QueueKind> = const { Cell::new(QueueKind::Heap) };
 }
 
 /// Runs `f` with every [`EventQueue::new`] on this thread defaulting to
 /// `kind`, restoring the previous default afterwards (also on panic).
 ///
 /// This is the hook the queue-equivalence tests use to run a whole
-/// simulation — engine and all — on the reference heap implementation
-/// without threading a type parameter through every layer.
+/// simulation — engine and all — on the calendar queue without threading
+/// a type parameter through every layer.
 pub fn with_queue_kind<R>(kind: QueueKind, f: impl FnOnce() -> R) -> R {
     struct Restore(QueueKind);
     impl Drop for Restore {
@@ -119,8 +124,8 @@ struct Calendar<E> {
     /// Lifetime count of [`Calendar::resize`] calls (growth, shrink,
     /// and lap rebuilds).
     resizes: u64,
-    /// Lifetime count of full-empty-lap rebuilds in [`Calendar::pop`]
-    /// (each also counts as a resize).
+    /// Lifetime count of full-empty-lap rebuilds in
+    /// [`Calendar::locate_min`] (each also counts as a resize).
     lap_rebuilds: u64,
 }
 
@@ -153,10 +158,11 @@ impl<E> Calendar<E> {
             self.resize(self.buckets.len() * 2);
         }
         let t = time.as_micros();
-        // A push before the cursor's day (legal for a standalone queue;
-        // the engine's no-past-scheduling rule makes it unreachable in a
-        // simulation) rewinds the cursor so the pop scan still starts at
-        // or before the earliest event.
+        // A push before the cursor's day rewinds the cursor so the pop
+        // scan still starts at or before the earliest event. A standalone
+        // queue may push into the past; in a simulation this happens when
+        // a declined `pop_before` left the cursor on a later day than the
+        // clock's.
         if t < self.cursor_end.saturating_sub(self.width) {
             self.cursor = self.bucket_of(t);
             self.cursor_end = self.day_end(t);
@@ -208,7 +214,17 @@ impl<E> Calendar<E> {
         (e.time, e.payload)
     }
 
-    fn pop(&mut self) -> Option<(SimTime, E)> {
+    /// Removes and returns the earliest entry if `ok` accepts its time.
+    /// A refusal still leaves the cursor on the earliest entry's day,
+    /// which keeps the cursor invariant.
+    fn pop_if(&mut self, ok: impl FnOnce(SimTime) -> bool) -> Option<(SimTime, E)> {
+        let (bucket, idx) = self.locate_min()?;
+        ok(self.buckets[bucket][idx].time).then(|| self.take(bucket, idx))
+    }
+
+    /// Bucket and index of the `(time, seq)` minimum, with the cursor
+    /// moved to its day; `None` when the calendar is empty.
+    fn locate_min(&mut self) -> Option<(usize, usize)> {
         if self.len == 0 {
             return None;
         }
@@ -218,7 +234,7 @@ impl<E> Calendar<E> {
             if let Some(idx) = self.min_in_window(bucket, end) {
                 self.cursor = bucket;
                 self.cursor_end = end;
-                return Some(self.take(bucket, idx));
+                return Some((bucket, idx));
             }
             bucket = (bucket + 1) & (self.buckets.len() - 1);
             end = end.saturating_add(self.width);
@@ -236,7 +252,7 @@ impl<E> Calendar<E> {
         let idx = self
             .min_in_window(bucket, self.cursor_end)
             .expect("resize anchors the cursor at the earliest event's day");
-        Some(self.take(bucket, idx))
+        Some((bucket, idx))
     }
 
     fn peek_time(&self) -> Option<SimTime> {
@@ -342,8 +358,8 @@ impl<E> Default for EventQueue<E> {
 }
 
 impl<E> EventQueue<E> {
-    /// Creates an empty queue of the thread's default kind (the calendar
-    /// queue, unless overridden by [`with_queue_kind`]).
+    /// Creates an empty queue of the thread's default kind (the heap,
+    /// unless overridden by [`with_queue_kind`]).
     pub fn new() -> Self {
         Self::with_kind(DEFAULT_KIND.with(|k| k.get()))
     }
@@ -395,9 +411,26 @@ impl<E> EventQueue<E> {
 
     /// Removes and returns the earliest event, if any.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
+        self.pop_if(|_| true)
+    }
+
+    /// Removes and returns the earliest event if it is strictly before
+    /// `limit`; `None` if the queue is empty or its earliest event is at
+    /// or after `limit`.
+    pub fn pop_before(&mut self, limit: SimTime) -> Option<(SimTime, E)> {
+        self.pop_if(|t| t < limit)
+    }
+
+    fn pop_if(&mut self, ok: impl FnOnce(SimTime) -> bool) -> Option<(SimTime, E)> {
         let popped = match &mut self.pending {
-            Pending::Calendar(c) => c.pop(),
-            Pending::Heap(h) => h.pop().map(|e| (e.time, e.payload)),
+            Pending::Calendar(c) => c.pop_if(ok),
+            Pending::Heap(h) => match h.peek_mut() {
+                Some(top) if ok(top.time) => {
+                    let e = PeekMut::pop(top);
+                    Some((e.time, e.payload))
+                }
+                _ => None,
+            },
         };
         if popped.is_some() {
             self.pops += 1;
@@ -526,25 +559,48 @@ mod tests {
     }
 
     #[test]
-    fn default_kind_is_calendar_and_override_scopes() {
-        assert_eq!(EventQueue::<()>::new().kind(), QueueKind::Calendar);
-        with_queue_kind(QueueKind::Heap, || {
-            assert_eq!(EventQueue::<()>::new().kind(), QueueKind::Heap);
-            with_queue_kind(QueueKind::Calendar, || {
-                assert_eq!(EventQueue::<()>::new().kind(), QueueKind::Calendar);
+    fn default_kind_is_heap_and_override_scopes() {
+        assert_eq!(EventQueue::<()>::new().kind(), QueueKind::Heap);
+        with_queue_kind(QueueKind::Calendar, || {
+            assert_eq!(EventQueue::<()>::new().kind(), QueueKind::Calendar);
+            with_queue_kind(QueueKind::Heap, || {
+                assert_eq!(EventQueue::<()>::new().kind(), QueueKind::Heap);
             });
-            assert_eq!(EventQueue::<()>::new().kind(), QueueKind::Heap);
+            assert_eq!(EventQueue::<()>::new().kind(), QueueKind::Calendar);
         });
-        assert_eq!(EventQueue::<()>::new().kind(), QueueKind::Calendar);
+        assert_eq!(EventQueue::<()>::new().kind(), QueueKind::Heap);
     }
 
     #[test]
     fn override_restored_on_panic() {
         let result = std::panic::catch_unwind(|| {
-            with_queue_kind(QueueKind::Heap, || panic!("boom"));
+            with_queue_kind(QueueKind::Calendar, || panic!("boom"));
         });
         assert!(result.is_err());
-        assert_eq!(EventQueue::<()>::new().kind(), QueueKind::Calendar);
+        assert_eq!(EventQueue::<()>::new().kind(), QueueKind::Heap);
+    }
+
+    #[test]
+    fn pop_before_takes_only_strictly_earlier_events() {
+        for kind in kinds() {
+            let mut q = EventQueue::with_kind(kind);
+            assert_eq!(q.pop_before(SimTime::MAX), None, "{kind:?}");
+            q.push(SimTime::from_micros(20), "b");
+            q.push(SimTime::from_micros(10), "a");
+            assert_eq!(q.pop_before(SimTime::from_micros(10)), None, "{kind:?}");
+            assert_eq!(
+                q.pop_before(SimTime::from_micros(11)),
+                Some((SimTime::from_micros(10), "a")),
+                "{kind:?}"
+            );
+            // A refusal leaves the queue intact, and a later push before
+            // the refused event still pops first.
+            assert_eq!(q.pop_before(SimTime::from_micros(15)), None, "{kind:?}");
+            q.push(SimTime::from_micros(12), "c");
+            assert_eq!(q.pop(), Some((SimTime::from_micros(12), "c")), "{kind:?}");
+            assert_eq!(q.pop(), Some((SimTime::from_micros(20), "b")), "{kind:?}");
+            assert_eq!(q.stats().pops, 3, "{kind:?}");
+        }
     }
 
     /// A push into a day the cursor has already moved past (possible only
