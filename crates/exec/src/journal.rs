@@ -22,15 +22,17 @@
 //! one). [`Journal::finish`] seals the final partial segment of a
 //! completed campaign so a later `--resume` replay is pure index seeks.
 //!
-//! Crash tolerance mirrors the writer's append order. A kill mid-record
-//! leaves a truncated final line in the active segment (tolerated and
-//! cut on reopen, exactly as the single-file format did); a kill
+//! Crash tolerance mirrors the writer's order: segment 0's header, then
+//! the index header, then records, with each seal written before the
+//! next segment is created. A kill mid-record leaves a truncated final
+//! line in the active segment (tolerated and cut on reopen); a kill
 //! mid-seal leaves a torn tail block in `journal.idx` (ignored — the
-//! affected segment is recovered by scan instead); a *disagreement*
-//! between a committed index block and its segment file is an error,
-//! never a silent drop, because sealed segments are immutable by
-//! construction. Journals written by the pre-segmented single-file
-//! format (`journal.jsonl`) still load via the original linear scan.
+//! affected segment is recovered by scan instead); a kill before a
+//! file's header line is complete leaves a file that holds nothing
+//! (written afresh on reopen, and no journal at all when it is segment
+//! 0 with no index beside it). A *disagreement* between a committed
+//! index block and its segment file is an error, never a silent drop,
+//! because sealed segments are immutable by construction.
 //!
 //! Every line is a flat object of string and number fields, written in
 //! a fixed key order with [`rbr_obs::json`]'s writers and read with its
@@ -64,10 +66,6 @@ fn seals_counter() -> &'static rbr_obs::Counter {
     C.get_or_init(|| rbr_obs::metrics::counter("exec.journal.seals"))
 }
 
-/// File name of the legacy single-file journal inside a campaign
-/// directory (still loadable; new journals are segmented).
-pub const JOURNAL_FILE: &str = "journal.jsonl";
-
 /// File name of the footer index inside a campaign directory.
 pub const INDEX_FILE: &str = "journal.idx";
 
@@ -92,19 +90,9 @@ pub struct Record {
     pub payload: String,
 }
 
-/// Where a loaded cell's payload lives.
-#[derive(Clone, Debug)]
-enum Loc {
-    /// Legacy single-file journal: the linear scan already decoded the
-    /// payload, so it is held in memory (the status quo for old dirs).
-    Inline(String),
-    /// Segmented journal: the payload is fetched on demand with one
-    /// seek + bounded read, so resume memory stays O(index).
-    Seek { segment: u64, offset: u64, len: u64 },
-}
-
 /// One completed cell as the loader located it: metadata in memory,
-/// payload fetched lazily via [`Loaded::read_payload`].
+/// payload fetched lazily via [`Loaded::read_payload`]. The writer holds
+/// the active segment's cells in this form until the segment seals.
 #[derive(Clone, Debug)]
 pub struct Entry {
     /// Cell index within the campaign.
@@ -113,33 +101,11 @@ pub struct Entry {
     pub key: String,
     /// Wall-clock seconds the cell took when it originally ran.
     pub elapsed_secs: f64,
-    loc: Loc,
-}
-
-/// How to continue appending after a load, per format.
-#[derive(Debug)]
-enum Resume {
-    Legacy {
-        /// Byte length of the valid prefix; anything past this is a
-        /// truncated trailing record and must be cut before appending.
-        valid_len: u64,
-    },
-    Segmented {
-        /// The segment new appends go into. May not exist yet on disk
-        /// (every existing segment was already sealed).
-        active_segment: u64,
-        /// Truncate the active segment to this before appending, when it
-        /// exists (`None` = create it fresh, with a header).
-        active_valid_len: Option<u64>,
-        /// Records already in the active segment.
-        active_records: usize,
-        /// Truncate `journal.idx` to this before appending (cuts a torn
-        /// tail block).
-        idx_valid_len: u64,
-        /// Roll threshold recorded in the index header (the default when
-        /// the index was missing).
-        segment_records: usize,
-    },
+    /// The record's bytes: `len` (newline included) from `offset` in
+    /// segment `segment`.
+    segment: u64,
+    offset: u64,
+    len: u64,
 }
 
 /// A parsed journal: the campaign identity plus the located cells.
@@ -153,98 +119,88 @@ pub struct Loaded {
     /// scanned segments in file order).
     pub entries: Vec<Entry>,
     /// True when a partial trailing line was dropped from the active
-    /// segment (or the legacy file).
+    /// segment.
     pub dropped_partial: bool,
     /// Cells located via the footer index (no payload bytes read).
     pub indexed: usize,
     /// Cells recovered by linearly scanning unindexed segments.
     pub scanned: usize,
     dir: PathBuf,
-    resume: Resume,
+    /// Roll threshold recorded in the index header (the default when the
+    /// index holds nothing).
+    segment_records: usize,
+    /// Valid length of `journal.idx`; reopen cuts a torn tail block.
+    idx_len: u64,
+    /// The segment new appends go into (it may not exist yet: every
+    /// segment on disk was sealed) and its valid length. Reopen cuts a
+    /// torn final line, and writes the segment afresh when this is 0.
+    active_segment: u64,
+    active_len: u64,
     /// One cached open segment handle for [`Loaded::read_payload`];
     /// replay reads arrive in cell order, which clusters by segment.
     reader: Mutex<Option<(u64, File)>>,
 }
 
 impl Loaded {
-    /// Reads one cell's payload: a clone for legacy journals, a single
-    /// seek + bounded read for segmented ones.
+    /// Reads one cell's payload with a single seek and bounded read.
     pub fn read_payload(&self, entry: &Entry) -> Result<String, String> {
-        match &entry.loc {
-            Loc::Inline(payload) => Ok(payload.clone()),
-            Loc::Seek {
-                segment,
-                offset,
-                len,
-            } => {
-                let mut reader = self.reader.lock().unwrap();
-                if reader.as_ref().map(|(s, _)| *s) != Some(*segment) {
-                    let path = self.dir.join(segment_file(*segment));
-                    let file = File::open(&path)
-                        .map_err(|e| format!("cannot open {}: {e}", path.display()))?;
-                    *reader = Some((*segment, file));
-                }
-                let (_, file) = reader.as_mut().unwrap();
-                file.seek(SeekFrom::Start(*offset))
-                    .map_err(|e| format!("cannot seek segment {segment}: {e}"))?;
-                let mut buf = vec![0u8; *len as usize];
-                file.read_exact(&mut buf)
-                    .map_err(|e| format!("cannot read segment {segment}: {e}"))?;
-                let line = buf.strip_suffix(b"\n").unwrap_or(&buf);
-                let record = parse_record(line).map_err(|e| {
-                    format!("segment {segment} offset {offset}: indexed record is corrupt: {e}")
-                })?;
-                if record.cell != entry.cell {
-                    return Err(format!(
-                        "segment {segment} offset {offset}: index says cell {} but the \
-                         record is cell {} — index/segment disagreement",
-                        entry.cell, record.cell
-                    ));
-                }
-                Ok(record.payload)
+        let (segment, offset, len) = (entry.segment, entry.offset, entry.len);
+        let mut reader = self
+            .reader
+            .lock()
+            .expect("no read panics holding the reader");
+        let file = match &mut *reader {
+            Some((open, file)) if *open == segment => file,
+            slot => {
+                let path = self.dir.join(segment_file(segment));
+                let file = File::open(&path)
+                    .map_err(|e| format!("cannot open {}: {e}", path.display()))?;
+                &mut slot.insert((segment, file)).1
             }
+        };
+        file.seek(SeekFrom::Start(offset))
+            .map_err(|e| format!("cannot seek segment {segment}: {e}"))?;
+        // `load` bounds `len` by the segment's committed byte length.
+        let mut buf = vec![0u8; len as usize];
+        file.read_exact(&mut buf)
+            .map_err(|e| format!("cannot read segment {segment}: {e}"))?;
+        let line = buf.strip_suffix(b"\n").unwrap_or(&buf);
+        let record = parse_record(line).map_err(|e| {
+            format!("segment {segment} offset {offset}: indexed record is corrupt: {e}")
+        })?;
+        if record.cell != entry.cell {
+            return Err(format!(
+                "segment {segment} offset {offset}: index says cell {} but the \
+                 record is cell {} — index/segment disagreement",
+                entry.cell, record.cell
+            ));
         }
+        Ok(record.payload)
     }
-}
-
-/// A sealed-cell index entry held for the active segment until it rolls.
-struct IndexEntry {
-    cell: u64,
-    key: String,
-    elapsed_secs: f64,
-    offset: u64,
-    len: u64,
-}
-
-/// Append state of a segmented journal.
-struct Segmented {
-    dir: PathBuf,
-    cells: u64,
-    segment_records: usize,
-    index: File,
-    segment: u64,
-    file: File,
-    seg_bytes: u64,
-    seg_records: usize,
-    /// Index entries for the active segment, written out when it seals.
-    pending: Vec<IndexEntry>,
-    finished: bool,
 }
 
 /// An append handle on a campaign journal.
 pub struct Journal {
-    store: Store,
-}
-
-enum Store {
-    Legacy { file: File, path: PathBuf },
-    Segmented(Segmented),
+    dir: PathBuf,
+    /// Repeated in every segment header, so each segment file is
+    /// self-describing.
+    manifest: String,
+    cells: u64,
+    segment_records: usize,
+    index: File,
+    /// The active segment: its number, file and byte length.
+    segment: u64,
+    file: File,
+    seg_bytes: u64,
+    /// The active segment's cells, written to the index when it seals.
+    pending: Vec<Entry>,
+    finished: bool,
 }
 
 impl Journal {
-    /// Starts a fresh segmented journal (removing any previous journal
-    /// in `dir`, legacy or segmented) with headers declaring the
-    /// manifest and cell count. `segment_records` is the roll threshold.
+    /// Starts a fresh journal (removing any previous one in `dir`) with
+    /// headers declaring the manifest and cell count. `segment_records`
+    /// is the roll threshold.
     pub fn create(
         dir: &Path,
         manifest: &str,
@@ -254,228 +210,113 @@ impl Journal {
         std::fs::create_dir_all(dir)
             .map_err(|e| format!("cannot create campaign dir {}: {e}", dir.display()))?;
         remove_existing_journal(dir)?;
-        let segment_records = segment_records.max(1);
-        let (file, seg_bytes) = create_segment(dir, manifest, cells, 0)?;
-        let idx_path = dir.join(INDEX_FILE);
-        let mut index = File::create(&idx_path)
-            .map_err(|e| format!("cannot create {}: {e}", idx_path.display()))?;
-        let header = format!(
+        Journal::open(dir, manifest, cells, segment_records.max(1), 0, 0, 0)
+    }
+
+    /// Reopens a loaded journal for appending: cuts the torn tails `load`
+    /// identified, writes afresh a file that holds nothing, and restores
+    /// the active segment's pending index entries.
+    pub fn reopen(dir: &Path, loaded: &Loaded) -> Result<Journal, String> {
+        let mut journal = Journal::open(
+            dir,
+            &loaded.manifest,
+            loaded.cells,
+            loaded.segment_records,
+            loaded.active_segment,
+            loaded.active_len,
+            loaded.idx_len,
+        )?;
+        // The active segment lies past the last committed block, so its
+        // cells were all recovered by scan, with their byte ranges.
+        journal.pending = loaded
+            .entries
+            .iter()
+            .filter(|e| e.segment == loaded.active_segment)
+            .cloned()
+            .collect();
+        Ok(journal)
+    }
+
+    /// Opens segment `segment`, then the index, each cut to its valid
+    /// length. The order matters at `create`: `load` reads a headerless
+    /// segment 0 with no index beside it as no journal at all.
+    fn open(
+        dir: &Path,
+        manifest: &str,
+        cells: u64,
+        segment_records: usize,
+        segment: u64,
+        seg_len: u64,
+        idx_len: u64,
+    ) -> Result<Journal, String> {
+        let (file, seg_bytes) = open_append(
+            &dir.join(segment_file(segment)),
+            seg_len,
+            &segment_header(manifest, cells, segment),
+        )?;
+        let index_header = format!(
             "{{\"index\":\"rbr-journal-v1\",\"manifest_hash\":\"{}\",\
              \"cells\":{cells},\"segment_records\":{segment_records}}}\n",
             hash::digest64(manifest.as_bytes())
         );
-        index
-            .write_all(header.as_bytes())
-            .and_then(|()| index.flush())
-            .map_err(|e| format!("cannot write {}: {e}", idx_path.display()))?;
+        let (index, _) = open_append(&dir.join(INDEX_FILE), idx_len, &index_header)?;
         Ok(Journal {
-            store: Store::Segmented(Segmented {
-                dir: dir.to_path_buf(),
-                cells,
-                segment_records,
-                index,
-                segment: 0,
-                file,
-                seg_bytes,
-                seg_records: 0,
-                pending: Vec::new(),
-                finished: false,
-            }),
+            dir: dir.to_path_buf(),
+            manifest: manifest.to_string(),
+            cells,
+            segment_records,
+            index,
+            segment,
+            file,
+            seg_bytes,
+            pending: Vec::new(),
+            finished: false,
         })
     }
 
-    /// Reopens a loaded journal for appending: truncates the torn tails
-    /// `load` identified (active segment and/or index) and restores the
-    /// active segment's pending index entries.
-    pub fn reopen(dir: &Path, loaded: &Loaded) -> Result<Journal, String> {
-        match &loaded.resume {
-            Resume::Legacy { valid_len } => {
-                let path = dir.join(JOURNAL_FILE);
-                let file = OpenOptions::new()
-                    .write(true)
-                    .open(&path)
-                    .map_err(|e| format!("cannot open {}: {e}", path.display()))?;
-                file.set_len(*valid_len)
-                    .map_err(|e| format!("cannot truncate {}: {e}", path.display()))?;
-                let file = OpenOptions::new()
-                    .append(true)
-                    .open(&path)
-                    .map_err(|e| format!("cannot reopen {}: {e}", path.display()))?;
-                Ok(Journal {
-                    store: Store::Legacy { file, path },
-                })
-            }
-            Resume::Segmented {
-                active_segment,
-                active_valid_len,
-                active_records,
-                idx_valid_len,
-                segment_records,
-            } => {
-                let idx_path = dir.join(INDEX_FILE);
-                let index = match OpenOptions::new().write(true).open(&idx_path) {
-                    Ok(f) => {
-                        f.set_len(*idx_valid_len)
-                            .map_err(|e| format!("cannot truncate {}: {e}", idx_path.display()))?;
-                        OpenOptions::new()
-                            .append(true)
-                            .open(&idx_path)
-                            .map_err(|e| format!("cannot reopen {}: {e}", idx_path.display()))?
-                    }
-                    // The index never made it to disk (kill between the
-                    // first segment's creation and the index header):
-                    // recreate it so future seals have somewhere to go.
-                    Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                        let mut f = File::create(&idx_path)
-                            .map_err(|e| format!("cannot create {}: {e}", idx_path.display()))?;
-                        let header = format!(
-                            "{{\"index\":\"rbr-journal-v1\",\"manifest_hash\":\"{}\",\
-                             \"cells\":{},\"segment_records\":{segment_records}}}\n",
-                            hash::digest64(loaded.manifest.as_bytes()),
-                            loaded.cells
-                        );
-                        f.write_all(header.as_bytes())
-                            .and_then(|()| f.flush())
-                            .map_err(|e| format!("cannot write {}: {e}", idx_path.display()))?;
-                        f
-                    }
-                    Err(e) => return Err(format!("cannot open {}: {e}", idx_path.display())),
-                };
-                let (file, seg_bytes, seg_records) = match active_valid_len {
-                    Some(valid_len) => {
-                        let path = dir.join(segment_file(*active_segment));
-                        let f = OpenOptions::new()
-                            .write(true)
-                            .open(&path)
-                            .map_err(|e| format!("cannot open {}: {e}", path.display()))?;
-                        f.set_len(*valid_len)
-                            .map_err(|e| format!("cannot truncate {}: {e}", path.display()))?;
-                        let f = OpenOptions::new()
-                            .append(true)
-                            .open(&path)
-                            .map_err(|e| format!("cannot reopen {}: {e}", path.display()))?;
-                        (f, *valid_len, *active_records)
-                    }
-                    None => {
-                        let (f, bytes) =
-                            create_segment(dir, &loaded.manifest, loaded.cells, *active_segment)?;
-                        (f, bytes, 0)
-                    }
-                };
-                // The active segment's cells must re-enter the pending
-                // list so the block written at its eventual seal is
-                // complete. They were all recovered by scan (the active
-                // segment is past the last committed block by
-                // definition), so their seek locations are known.
-                let pending = loaded
-                    .entries
-                    .iter()
-                    .filter_map(|e| match &e.loc {
-                        Loc::Seek {
-                            segment,
-                            offset,
-                            len,
-                        } if segment == active_segment => Some(IndexEntry {
-                            cell: e.cell,
-                            key: e.key.clone(),
-                            elapsed_secs: e.elapsed_secs,
-                            offset: *offset,
-                            len: *len,
-                        }),
-                        _ => None,
-                    })
-                    .collect();
-                Ok(Journal {
-                    store: Store::Segmented(Segmented {
-                        dir: dir.to_path_buf(),
-                        cells: loaded.cells,
-                        segment_records: *segment_records,
-                        index,
-                        segment: *active_segment,
-                        file,
-                        seg_bytes,
-                        seg_records,
-                        pending,
-                        finished: false,
-                    }),
-                })
-            }
-        }
-    }
-
     /// Appends one completed cell and flushes, so the record survives a
-    /// kill immediately after. Rolls (and seals) the active segment
-    /// first when it is full.
+    /// kill immediately after. Rolls the active segment first when it is
+    /// full: seals it, then creates the next one.
     pub fn append(&mut self, record: &Record) -> Result<(), String> {
-        let line = record_line(record);
-        let appended = match &mut self.store {
-            Store::Legacy { file, path } => file
-                .write_all(line.as_bytes())
-                .and_then(|()| file.flush())
-                .map_err(|e| format!("cannot append to {}: {e}", path.display())),
-            Store::Segmented(seg) => {
-                if seg.finished {
-                    return Err("journal already finished".to_string());
-                }
-                if seg.seg_records >= seg.segment_records {
-                    seg.roll()?;
-                }
-                let path = seg.dir.join(segment_file(seg.segment));
-                seg.file
-                    .write_all(line.as_bytes())
-                    .and_then(|()| seg.file.flush())
-                    .map_err(|e| format!("cannot append to {}: {e}", path.display()))?;
-                seg.pending.push(IndexEntry {
-                    cell: record.cell,
-                    key: record.key.clone(),
-                    elapsed_secs: record.elapsed_secs,
-                    offset: seg.seg_bytes,
-                    len: line.len() as u64,
-                });
-                seg.seg_bytes += line.len() as u64;
-                seg.seg_records += 1;
-                Ok(())
-            }
-        };
-        if appended.is_ok() {
-            appends_counter().inc();
+        if self.finished {
+            return Err("journal already finished".to_string());
         }
-        appended
+        if self.pending.len() >= self.segment_records {
+            self.seal()?;
+            self.segment += 1;
+            (self.file, self.seg_bytes) = open_append(
+                &self.dir.join(segment_file(self.segment)),
+                0,
+                &segment_header(&self.manifest, self.cells, self.segment),
+            )?;
+        }
+        let line = record_line(record);
+        let path = self.dir.join(segment_file(self.segment));
+        write_flushed(&mut self.file, &path, &line)?;
+        self.pending.push(Entry {
+            cell: record.cell,
+            key: record.key.clone(),
+            elapsed_secs: record.elapsed_secs,
+            segment: self.segment,
+            offset: self.seg_bytes,
+            len: line.len() as u64,
+        });
+        self.seg_bytes += line.len() as u64;
+        appends_counter().inc();
+        Ok(())
     }
 
     /// Seals the final (partial) segment of a completed campaign into
     /// the index, so a later `--resume` replays by pure index seeks. No
-    /// further appends are accepted. A no-op for legacy journals.
+    /// further appends are accepted.
     pub fn finish(&mut self) -> Result<(), String> {
-        if let Store::Segmented(seg) = &mut self.store {
-            if !seg.finished && !seg.pending.is_empty() {
-                seg.seal()?;
-            }
-            seg.finished = true;
+        if !self.finished && !self.pending.is_empty() {
+            self.seal()?;
         }
+        self.finished = true;
         Ok(())
     }
 
-    /// Loads and validates the journal in `dir`, whichever format it is.
-    ///
-    /// Returns `Ok(None)` when no journal exists. Sealed segments load
-    /// through the footer index without reading payload bytes; segments
-    /// past the last committed index block (or all of them, when the
-    /// index is missing) are recovered by linear scan. A malformed or
-    /// incomplete *final* line of the active segment is tolerated
-    /// (dropped, and cut on reopen); a committed index block that
-    /// disagrees with its segment file is an error.
-    pub fn load(dir: &Path) -> Result<Option<Loaded>, String> {
-        let seg0 = dir.join(segment_file(0));
-        let idx = dir.join(INDEX_FILE);
-        if seg0.exists() || idx.exists() {
-            return load_segmented(dir).map(Some);
-        }
-        load_legacy(dir)
-    }
-}
-
-impl Segmented {
     /// Appends the active segment's block (cell lines, then the commit
     /// line that makes the block valid) to the footer index.
     fn seal(&mut self) -> Result<(), String> {
@@ -487,7 +328,7 @@ impl Segmented {
             json::write_f64(&mut block, e.elapsed_secs, "0");
             block.push_str(&format!(
                 ",\"segment\":{},\"offset\":{},\"len\":{}}}\n",
-                self.segment, e.offset, e.len
+                e.segment, e.offset, e.len
             ));
         }
         block.push_str(&format!(
@@ -496,105 +337,40 @@ impl Segmented {
             self.pending.len(),
             self.seg_bytes
         ));
-        let idx_path = self.dir.join(INDEX_FILE);
-        self.index
-            .write_all(block.as_bytes())
-            .and_then(|()| self.index.flush())
-            .map_err(|e| format!("cannot append to {}: {e}", idx_path.display()))?;
+        write_flushed(&mut self.index, &self.dir.join(INDEX_FILE), &block)?;
         self.pending.clear();
         seals_counter().inc();
         Ok(())
     }
 
-    /// Seals the full active segment and opens the next one.
-    fn roll(&mut self) -> Result<(), String> {
-        self.seal()?;
-        // Re-derive the manifest for the next segment's header from the
-        // pending-free state: segment headers repeat the manifest so any
-        // single segment file is self-describing.
-        let manifest = read_manifest(&self.dir, self.segment)?;
-        self.segment += 1;
-        let (file, bytes) = create_segment(&self.dir, &manifest, self.cells, self.segment)?;
-        self.file = file;
-        self.seg_bytes = bytes;
-        self.seg_records = 0;
-        Ok(())
-    }
-}
-
-/// Reads the manifest back out of segment `segment`'s header line.
-fn read_manifest(dir: &Path, segment: u64) -> Result<String, String> {
-    let path = dir.join(segment_file(segment));
-    let file = File::open(&path).map_err(|e| format!("cannot open {}: {e}", path.display()))?;
-    let mut line = String::new();
-    BufReader::new(file)
-        .read_line(&mut line)
-        .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-    let (manifest, _, _) = parse_segment_header(line.trim_end_matches('\n').as_bytes())
-        .map_err(|e| format!("{}: bad segment header: {e}", path.display()))?;
-    Ok(manifest)
-}
-
-/// Creates segment file `segment` with its header line.
-fn create_segment(
-    dir: &Path,
-    manifest: &str,
-    cells: u64,
-    segment: u64,
-) -> Result<(File, u64), String> {
-    let path = dir.join(segment_file(segment));
-    let mut file =
-        File::create(&path).map_err(|e| format!("cannot create {}: {e}", path.display()))?;
-    let mut header = String::from("{\"campaign\":");
-    json::write_str(&mut header, manifest);
-    header.push_str(&format!(",\"cells\":{cells},\"segment\":{segment}}}\n"));
-    file.write_all(header.as_bytes())
-        .and_then(|()| file.flush())
-        .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-    Ok((file, header.len() as u64))
-}
-
-/// Removes every journal artifact in `dir` (a fresh run must not see
-/// stale segments from a previous, longer campaign).
-fn remove_existing_journal(dir: &Path) -> Result<(), String> {
-    for name in [JOURNAL_FILE, INDEX_FILE] {
-        let path = dir.join(name);
-        if path.exists() {
-            std::fs::remove_file(&path)
-                .map_err(|e| format!("cannot remove {}: {e}", path.display()))?;
-        }
-    }
-    let entries = match std::fs::read_dir(dir) {
-        Ok(entries) => entries,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(()),
-        Err(e) => return Err(format!("cannot list {}: {e}", dir.display())),
-    };
-    for entry in entries {
-        let entry = entry.map_err(|e| format!("cannot list {}: {e}", dir.display()))?;
-        let name = entry.file_name();
-        let name = name.to_string_lossy();
-        if name.starts_with("seg-") && name.ends_with(".jsonl") {
-            std::fs::remove_file(entry.path())
-                .map_err(|e| format!("cannot remove {}: {e}", entry.path().display()))?;
-        }
-    }
-    Ok(())
-}
-
-/// One committed index block's summary.
-struct CommittedSegment {
-    bytes: u64,
-}
-
-/// Loads a segmented journal: index blocks first, then a linear scan of
-/// everything past the last committed block.
-fn load_segmented(dir: &Path) -> Result<Loaded, String> {
-    // The first segment's header is the campaign's identity (the index
-    // only carries a hash of it).
-    let seg0_path = dir.join(segment_file(0));
-    let seg0_head = {
-        let file = match File::open(&seg0_path) {
-            Ok(f) => f,
+    /// Loads and validates the journal in `dir`.
+    ///
+    /// Returns `Ok(None)` when no journal exists. Sealed segments load
+    /// through the footer index without reading payload bytes; segments
+    /// past the last committed index block (or all of them, when the
+    /// index holds nothing) are recovered by linear scan. A malformed or
+    /// incomplete *final* line of the active segment is tolerated
+    /// (dropped, and cut on reopen); a committed index block that
+    /// disagrees with its segment file is an error.
+    pub fn load(dir: &Path) -> Result<Option<Loaded>, String> {
+        let idx_path = dir.join(INDEX_FILE);
+        let index = match std::fs::read(&idx_path) {
+            Ok(bytes) => Some(bytes),
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => None,
+            Err(e) => return Err(format!("cannot read {}: {e}", idx_path.display())),
+        };
+        // Segment 0's header is the campaign's identity (the index only
+        // carries a hash of it). It is written before the index exists,
+        // so without an index a headerless segment 0 recorded no cell.
+        let seg0_path = dir.join(segment_file(0));
+        let mut head = Vec::new();
+        match File::open(&seg0_path) {
+            Ok(file) => BufReader::new(file)
+                .read_until(b'\n', &mut head)
+                .map_err(|e| format!("cannot read {}: {e}", seg0_path.display()))?,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound && index.is_none() => {
+                return Ok(None)
+            }
             Err(e) => {
                 return Err(format!(
                     "cannot open {}: {e} (index present without its first segment)",
@@ -602,204 +378,242 @@ fn load_segmented(dir: &Path) -> Result<Loaded, String> {
                 ))
             }
         };
-        let mut line = String::new();
-        BufReader::new(file)
-            .read_line(&mut line)
-            .map_err(|e| format!("cannot read {}: {e}", seg0_path.display()))?;
-        line
-    };
-    let (manifest, cells, seg0_num) =
-        parse_segment_header(seg0_head.trim_end_matches('\n').as_bytes())
+        let Some(head) = head.strip_suffix(b"\n") else {
+            return match index {
+                None => Ok(None),
+                Some(_) => Err(format!("{}: missing segment header", seg0_path.display())),
+            };
+        };
+        let (manifest, cells, seg0_num) = parse_segment_header(head)
             .map_err(|e| format!("{}: bad segment header: {e}", seg0_path.display()))?;
-    if seg0_num != 0 {
-        return Err(format!(
-            "{}: header claims segment {seg0_num}, expected 0",
-            seg0_path.display()
-        ));
-    }
-
-    // Parse the footer index, tolerating a torn tail (a block whose
-    // commit line never landed): everything from the first anomaly on is
-    // ignored and the affected segments are recovered by scan instead.
-    let idx_path = dir.join(INDEX_FILE);
-    let mut entries: Vec<Entry> = Vec::new();
-    let mut committed: Vec<CommittedSegment> = Vec::new();
-    let mut idx_valid_len = 0u64;
-    let mut segment_records = DEFAULT_SEGMENT_RECORDS;
-    match std::fs::read(&idx_path) {
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-        Err(e) => return Err(format!("cannot read {}: {e}", idx_path.display())),
-        Ok(bytes) => {
-            let mut lines: Vec<(usize, &[u8])> = Vec::new();
-            let mut start = 0usize;
-            for (i, b) in bytes.iter().enumerate() {
-                if *b == b'\n' {
-                    lines.push((i + 1, &bytes[start..i]));
-                    start = i + 1;
-                }
-            }
-            let mut it = lines.iter();
-            if let Some((header_end, header)) = it.next() {
-                let idx_header = parse_index_header(header)
-                    .map_err(|e| format!("{}: bad index header: {e}", idx_path.display()))?;
-                if idx_header.manifest_hash != hash::digest64(manifest.as_bytes()) {
-                    return Err(format!(
-                        "{}: index manifest hash {} does not match segment manifest `{}`",
-                        idx_path.display(),
-                        idx_header.manifest_hash,
-                        manifest
-                    ));
-                }
-                if idx_header.cells != cells {
-                    return Err(format!(
-                        "{}: index declares {} cells but segments declare {}",
-                        idx_path.display(),
-                        idx_header.cells,
-                        cells
-                    ));
-                }
-                segment_records = idx_header.segment_records;
-                idx_valid_len = *header_end as u64;
-                let mut block: Vec<Entry> = Vec::new();
-                for (end, line) in it {
-                    match parse_index_line(line) {
-                        Ok(IndexLine::Cell(entry)) => {
-                            let in_segment = match &entry.loc {
-                                Loc::Seek { segment, .. } => *segment,
-                                Loc::Inline(_) => unreachable!("index lines carry seek locs"),
-                            };
-                            if in_segment != committed.len() as u64 {
-                                // A cell line for the wrong segment:
-                                // treat as a torn tail and fall back to
-                                // scanning from here on.
-                                break;
-                            }
-                            block.push(entry);
-                        }
-                        Ok(IndexLine::Commit {
-                            segment,
-                            records,
-                            bytes,
-                        }) => {
-                            if segment != committed.len() as u64 || records != block.len() {
-                                break;
-                            }
-                            entries.append(&mut block);
-                            committed.push(CommittedSegment { bytes });
-                            idx_valid_len = *end as u64;
-                        }
-                        Err(_) => break,
-                    }
-                }
-            }
-        }
-    }
-    let indexed = entries.len();
-
-    // Committed blocks promise immutable, fully-sealed segment files:
-    // verify each file's size exactly. Any disagreement is corruption —
-    // erroring beats silently re-running (or worse, dropping) cells.
-    for (s, c) in committed.iter().enumerate() {
-        let path = dir.join(segment_file(s as u64));
-        let meta = std::fs::metadata(&path).map_err(|e| {
-            format!(
-                "index/segment disagreement: committed segment {s} is missing ({}: {e})",
-                path.display()
-            )
-        })?;
-        if meta.len() != c.bytes {
+        if seg0_num != 0 {
             return Err(format!(
-                "index/segment disagreement: segment {s} is {} bytes on disk but the \
-                 index committed {} — refusing to resume from a corrupt journal",
-                meta.len(),
-                c.bytes
+                "{}: header claims segment {seg0_num}, expected 0",
+                seg0_path.display()
             ));
         }
-    }
 
-    // Scan everything past the last committed block: normally just the
-    // active segment, plus any segment whose seal was torn away.
-    let first_unindexed = committed.len() as u64;
-    let mut last_existing = None;
-    let mut probe = first_unindexed;
-    while dir.join(segment_file(probe)).exists() {
-        last_existing = Some(probe);
-        probe += 1;
-    }
-    let mut scanned = 0usize;
-    let mut dropped_partial = false;
-    let mut active_valid_len = None;
-    let mut active_records = 0usize;
-    let active_segment = match last_existing {
-        // Every segment on disk is sealed and committed: appends resume
-        // into a fresh next segment.
-        None => first_unindexed,
-        Some(last) => {
-            for s in first_unindexed..=last {
-                let is_last = s == last;
-                let scan = scan_segment(dir, s, &manifest, cells, is_last)?;
-                scanned += scan.entries.len();
-                if is_last {
-                    dropped_partial = scan.dropped_partial;
-                    active_valid_len = Some(scan.valid_len);
-                    active_records = scan.entries.len();
-                }
-                entries.extend(scan.entries);
+        // Parse the footer index, tolerating a torn tail (a block whose
+        // commit line never landed): everything from the first anomaly on
+        // is ignored and the affected segments are recovered by scan
+        // instead. An index with no complete header line holds nothing.
+        let mut entries: Vec<Entry> = Vec::new();
+        // The byte length of each committed segment, in segment order.
+        let mut committed: Vec<u64> = Vec::new();
+        let mut idx_len = 0u64;
+        let mut segment_records = DEFAULT_SEGMENT_RECORDS;
+        let idx_lines = index.as_deref().map(split_lines).unwrap_or_default();
+        if let Some(&(header_end, header)) = idx_lines.first() {
+            let idx_header = parse_index_header(header)
+                .map_err(|e| format!("{}: bad index header: {e}", idx_path.display()))?;
+            if idx_header.manifest_hash != hash::digest64(manifest.as_bytes()) {
+                return Err(format!(
+                    "{}: index manifest hash {} does not match segment manifest `{}`",
+                    idx_path.display(),
+                    idx_header.manifest_hash,
+                    manifest
+                ));
             }
-            last
+            if idx_header.cells != cells {
+                return Err(format!(
+                    "{}: index declares {} cells but segments declare {}",
+                    idx_path.display(),
+                    idx_header.cells,
+                    cells
+                ));
+            }
+            segment_records = idx_header.segment_records;
+            idx_len = header_end;
+            let mut block_start = 0;
+            for &(end, line) in &idx_lines[1..] {
+                let next = committed.len() as u64;
+                match parse_index_line(line) {
+                    Ok(IndexLine::Cell(entry)) if entry.segment == next => entries.push(entry),
+                    Ok(IndexLine::Commit {
+                        segment,
+                        records,
+                        bytes,
+                    }) if segment == next && records == entries.len() - block_start => {
+                        // A committed cell must lie inside its segment, so
+                        // no later read can ask for more than the file.
+                        let block = &entries[block_start..];
+                        if let Some(e) = block
+                            .iter()
+                            .find(|e| e.offset.checked_add(e.len).is_none_or(|stop| stop > bytes))
+                        {
+                            return Err(format!(
+                                "index/segment disagreement: cell {} claims {} bytes at \
+                                 offset {} of segment {segment}, which the index committed \
+                                 at {bytes} bytes",
+                                e.cell, e.len, e.offset
+                            ));
+                        }
+                        committed.push(bytes);
+                        idx_len = end;
+                        block_start = entries.len();
+                    }
+                    // A line for the wrong segment, a count mismatch or a
+                    // torn line: the torn tail starts here.
+                    _ => break,
+                }
+            }
+            entries.truncate(block_start);
         }
-    };
+        let indexed = entries.len();
 
-    Ok(Loaded {
-        manifest,
-        cells,
-        entries,
-        dropped_partial,
-        indexed,
-        scanned,
-        dir: dir.to_path_buf(),
-        resume: Resume::Segmented {
-            active_segment,
-            active_valid_len,
-            active_records,
-            idx_valid_len,
+        // Committed blocks promise immutable, fully-sealed segment files:
+        // verify each file's size exactly. Any disagreement is corruption —
+        // erroring beats silently re-running (or worse, dropping) cells.
+        for (s, &bytes) in committed.iter().enumerate() {
+            let path = dir.join(segment_file(s as u64));
+            let meta = std::fs::metadata(&path).map_err(|e| {
+                format!(
+                    "index/segment disagreement: committed segment {s} is missing ({}: {e})",
+                    path.display()
+                )
+            })?;
+            if meta.len() != bytes {
+                return Err(format!(
+                    "index/segment disagreement: segment {s} is {} bytes on disk but the \
+                     index committed {bytes} — refusing to resume from a corrupt journal",
+                    meta.len()
+                ));
+            }
+        }
+
+        // Scan everything past the last committed block: normally just the
+        // active segment, plus any segment whose seal was torn away. When
+        // every segment on disk is committed, appends resume into a fresh
+        // next segment.
+        let first_unindexed = committed.len() as u64;
+        let mut end = first_unindexed;
+        while dir.join(segment_file(end)).exists() {
+            end += 1;
+        }
+        let active_segment = if end > first_unindexed {
+            end - 1
+        } else {
+            first_unindexed
+        };
+        let (mut active_len, mut dropped_partial) = (0, false);
+        for s in first_unindexed..end {
+            (active_len, dropped_partial) =
+                scan_segment(dir, s, &manifest, cells, s == active_segment, &mut entries)?;
+        }
+
+        Ok(Some(Loaded {
+            manifest,
+            cells,
+            scanned: entries.len() - indexed,
+            entries,
+            dropped_partial,
+            indexed,
+            dir: dir.to_path_buf(),
             segment_records,
-        },
-        reader: Mutex::new(None),
-    })
+            idx_len,
+            active_segment,
+            active_len,
+            reader: Mutex::new(None),
+        }))
+    }
 }
 
-/// A scanned segment's contents.
-struct ScannedSegment {
-    entries: Vec<Entry>,
-    valid_len: u64,
-    dropped_partial: bool,
+/// Opens `path` for appending after cutting it to `valid_len` bytes. A
+/// file with no valid bytes (missing, empty, or short of a complete
+/// header line) holds nothing, so it is written afresh, starting with
+/// `header`. Returns the handle, positioned at the end, and the file's
+/// length. Each file has one writer, so writes at the cursor append.
+fn open_append(path: &Path, valid_len: u64, header: &str) -> Result<(File, u64), String> {
+    let mut file = OpenOptions::new()
+        .create(true)
+        .write(true)
+        .truncate(false)
+        .open(path)
+        .map_err(|e| format!("cannot open {}: {e}", path.display()))?;
+    file.set_len(valid_len)
+        .and_then(|()| file.seek(SeekFrom::Start(valid_len)))
+        .map_err(|e| format!("cannot truncate {}: {e}", path.display()))?;
+    if valid_len > 0 {
+        return Ok((file, valid_len));
+    }
+    write_flushed(&mut file, path, header)?;
+    Ok((file, header.len() as u64))
 }
 
-/// Linearly scans one segment file. Only the final (active) segment may
-/// carry a truncated tail; a sealed-but-unindexed segment rolled before
-/// the kill, so corruption inside it is an error.
+/// Writes all of `text` to `file` and flushes.
+fn write_flushed(file: &mut File, path: &Path, text: &str) -> Result<(), String> {
+    file.write_all(text.as_bytes())
+        .and_then(|()| file.flush())
+        .map_err(|e| format!("cannot write {}: {e}", path.display()))
+}
+
+/// Segment `segment`'s header line, newline included.
+fn segment_header(manifest: &str, cells: u64, segment: u64) -> String {
+    let mut header = String::from("{\"campaign\":");
+    json::write_str(&mut header, manifest);
+    header.push_str(&format!(",\"cells\":{cells},\"segment\":{segment}}}\n"));
+    header
+}
+
+/// Removes every journal artifact in `dir`, the index first (a fresh run
+/// must not see stale segments from a previous, longer campaign).
+fn remove_existing_journal(dir: &Path) -> Result<(), String> {
+    let remove = |path: &Path| {
+        std::fs::remove_file(path).map_err(|e| format!("cannot remove {}: {e}", path.display()))
+    };
+    let index = dir.join(INDEX_FILE);
+    if index.exists() {
+        remove(&index)?;
+    }
+    let listing =
+        std::fs::read_dir(dir).map_err(|e| format!("cannot list {}: {e}", dir.display()))?;
+    for entry in listing {
+        let entry = entry.map_err(|e| format!("cannot list {}: {e}", dir.display()))?;
+        let name = entry.file_name();
+        let name = name.to_string_lossy();
+        if name.starts_with("seg-") && name.ends_with(".jsonl") {
+            remove(&entry.path())?;
+        }
+    }
+    Ok(())
+}
+
+/// Splits `bytes` into its complete lines (newline stripped), each with
+/// the offset just past its newline. Bytes after the last newline, a
+/// torn write, form no line.
+fn split_lines(bytes: &[u8]) -> Vec<(u64, &[u8])> {
+    let mut end = 0u64;
+    bytes
+        .split_inclusive(|b| *b == b'\n')
+        .filter_map(|line| {
+            end += line.len() as u64;
+            Some((end, line.strip_suffix(b"\n")?))
+        })
+        .collect()
+}
+
+/// Linearly scans segment `segment`, appending its cells to `entries`;
+/// returns the segment's valid length and whether a partial final line
+/// was dropped. Only the last segment may end torn, or hold no complete
+/// header line (a kill before its header landed: it holds nothing).
+/// Every segment before the last rolled before the kill, so damage
+/// inside one is an error.
 fn scan_segment(
     dir: &Path,
     segment: u64,
     manifest: &str,
     cells: u64,
-    tolerate_tail: bool,
-) -> Result<ScannedSegment, String> {
+    is_last: bool,
+    entries: &mut Vec<Entry>,
+) -> Result<(u64, bool), String> {
     let path = dir.join(segment_file(segment));
     let bytes = std::fs::read(&path).map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-    let mut lines: Vec<(usize, &[u8])> = Vec::new();
-    let mut start = 0usize;
-    for (i, b) in bytes.iter().enumerate() {
-        if *b == b'\n' {
-            lines.push((i + 1, &bytes[start..i]));
-            start = i + 1;
+    let lines = split_lines(&bytes);
+    let unterminated = lines.last().map_or(0, |line| line.0) < bytes.len() as u64;
+    let Some(&(header_end, header)) = lines.first() else {
+        if is_last {
+            return Ok((0, unterminated));
         }
-    }
-    let unterminated = start < bytes.len();
-
-    let mut it = lines.iter();
-    let Some((header_end, header)) = it.next() else {
         return Err(format!("{}: missing segment header", path.display()));
     };
     let (seg_manifest, seg_cells, seg_num) = parse_segment_header(header)
@@ -812,134 +626,48 @@ fn scan_segment(
         ));
     }
 
-    let mut entries = Vec::new();
-    let mut valid_len = *header_end as u64;
-    let mut dropped_partial = unterminated;
-    let total = lines.len();
-    for (n, (end, line)) in it.enumerate() {
+    let mut valid_len = header_end;
+    for (n, &(end, line)) in lines.iter().enumerate().skip(1) {
         match parse_record(line) {
             Ok(record) => {
                 entries.push(Entry {
                     cell: record.cell,
                     key: record.key,
                     elapsed_secs: record.elapsed_secs,
-                    loc: Loc::Seek {
-                        segment,
-                        offset: valid_len,
-                        len: (*end as u64) - valid_len,
-                    },
+                    segment,
+                    offset: valid_len,
+                    len: end - valid_len,
                 });
-                valid_len = *end as u64;
+                valid_len = end;
             }
-            // `n` counts record lines (header excluded); the last
-            // terminated line is record index total - 2.
-            Err(e) if tolerate_tail && n + 2 == total && !unterminated => {
-                // A malformed final line: the writer was killed after
-                // the '\n' of the previous record but the filesystem
-                // still surfaced garbage (or a partial write that
-                // happened to include a newline). Drop it.
-                let _ = e;
-                dropped_partial = true;
-                break;
+            // A malformed final line: the writer was killed after the
+            // '\n' of the previous record but the filesystem still
+            // surfaced garbage (or a partial write that happened to
+            // include a newline). Drop it.
+            Err(_) if is_last && n + 1 == lines.len() && !unterminated => {
+                return Ok((valid_len, true));
             }
             Err(e) => {
                 return Err(format!(
                     "{}: corrupt journal record on line {}: {e}",
                     path.display(),
-                    n + 2
+                    n + 1
                 ));
             }
         }
     }
-    if unterminated && !tolerate_tail {
+    if unterminated && !is_last {
         return Err(format!(
             "{}: sealed segment ends mid-record",
             path.display()
         ));
     }
-    Ok(ScannedSegment {
-        entries,
-        valid_len,
-        dropped_partial,
-    })
-}
-
-/// Loads a legacy single-file journal (`journal.jsonl`), the
-/// pre-segmented format: one linear scan, payloads held inline.
-fn load_legacy(dir: &Path) -> Result<Option<Loaded>, String> {
-    let path = dir.join(JOURNAL_FILE);
-    let bytes = match std::fs::read(&path) {
-        Ok(b) => b,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-        Err(e) => return Err(format!("cannot read {}: {e}", path.display())),
-    };
-    // Split into lines, keeping track of each line's end offset so a
-    // valid prefix length can be reported. A well-formed journal ends
-    // with '\n'; anything after the last '\n' is a partial record by
-    // construction.
-    let mut lines: Vec<(usize, &[u8])> = Vec::new();
-    let mut start = 0usize;
-    for (i, b) in bytes.iter().enumerate() {
-        if *b == b'\n' {
-            lines.push((i + 1, &bytes[start..i]));
-            start = i + 1;
-        }
-    }
-    let unterminated = start < bytes.len();
-
-    let mut it = lines.iter();
-    let Some((header_end, header)) = it.next() else {
-        return Err(format!("{}: missing journal header", path.display()));
-    };
-    let (manifest, cells) = parse_legacy_header(header)
-        .map_err(|e| format!("{}: bad journal header: {e}", path.display()))?;
-
-    let mut entries = Vec::new();
-    let mut valid_len = *header_end as u64;
-    let mut dropped_partial = unterminated;
-    let total = lines.len();
-    for (n, (end, line)) in it.enumerate() {
-        match parse_record(line) {
-            Ok(record) => {
-                entries.push(Entry {
-                    cell: record.cell,
-                    key: record.key,
-                    elapsed_secs: record.elapsed_secs,
-                    loc: Loc::Inline(record.payload),
-                });
-                valid_len = *end as u64;
-            }
-            Err(e) if n + 2 == total && !unterminated => {
-                let _ = e;
-                dropped_partial = true;
-                break;
-            }
-            Err(e) => {
-                return Err(format!(
-                    "{}: corrupt journal record on line {}: {e}",
-                    path.display(),
-                    n + 2
-                ));
-            }
-        }
-    }
-    let scanned = entries.len();
-    Ok(Some(Loaded {
-        manifest,
-        cells,
-        entries,
-        dropped_partial,
-        indexed: 0,
-        scanned,
-        dir: dir.to_path_buf(),
-        resume: Resume::Legacy { valid_len },
-        reader: Mutex::new(None),
-    }))
+    Ok((valid_len, unterminated))
 }
 
 /// A record's journal line, newline included: `cell`, `key`,
-/// `elapsed_secs`, `payload`, in that order. Segments, legacy journals
-/// and cache entries all store records this way.
+/// `elapsed_secs`, `payload`, in that order. Segments and cache entries
+/// both store records this way.
 pub(crate) fn record_line(record: &Record) -> String {
     let mut line = String::with_capacity(record.payload.len() + record.key.len() + 64);
     line.push_str(&format!("{{\"cell\":{},\"key\":", record.cell));
@@ -959,14 +687,6 @@ pub(crate) fn parse_line(line: &[u8], keys: &[&str]) -> Result<Json, String> {
     let value = json::parse(text)?;
     value.expect_keys(keys)?;
     Ok(value)
-}
-
-fn parse_legacy_header(line: &[u8]) -> Result<(String, u64), String> {
-    let v = parse_line(line, &["campaign", "cells"])?;
-    Ok((
-        v.field("campaign", Json::as_str)?.to_string(),
-        v.field("cells", Json::as_u64)?,
-    ))
 }
 
 fn parse_segment_header(line: &[u8]) -> Result<(String, u64, u64), String> {
@@ -1026,11 +746,9 @@ fn parse_index_line(line: &[u8]) -> Result<IndexLine, String> {
         cell: v.field("cell", Json::as_u64)?,
         key: v.field("key", Json::as_str)?.to_string(),
         elapsed_secs: v.field("elapsed_secs", Json::as_f64)?,
-        loc: Loc::Seek {
-            segment: v.field("segment", Json::as_u64)?,
-            offset: v.field("offset", Json::as_u64)?,
-            len: v.field("len", Json::as_u64)?,
-        },
+        segment: v.field("segment", Json::as_u64)?,
+        offset: v.field("offset", Json::as_u64)?,
+        len: v.field("len", Json::as_u64)?,
     }))
 }
 
@@ -1270,34 +988,53 @@ mod tests {
     fn rejects_missing_header() {
         let dir = tmp_dir("header");
         std::fs::create_dir_all(&dir).unwrap();
+        // Segment 0's header lands before the index is created, so a
+        // headerless segment 0 alone recorded no cell.
+        std::fs::write(dir.join(segment_file(0)), "").unwrap();
+        assert!(Journal::load(&dir).unwrap().is_none());
+        // Beside an index it cannot be a torn create.
+        Journal::create(&dir, "m", 2, 2).unwrap();
         std::fs::write(dir.join(segment_file(0)), "").unwrap();
         assert!(Journal::load(&dir).unwrap_err().contains("header"));
         std::fs::write(dir.join(segment_file(0)), "{\"nope\":1}\n").unwrap();
         assert!(Journal::load(&dir).unwrap_err().contains("header"));
+        // Only the last segment may be headerless: the ones before it
+        // rolled, so each got its header before the next was created.
+        let mut j = Journal::create(&dir, "m", 5, 2).unwrap();
+        for i in 0..5 {
+            j.append(&sample(i)).unwrap();
+        }
+        drop(j);
+        std::fs::write(dir.join(segment_file(1)), "").unwrap();
+        std::fs::write(dir.join(INDEX_FILE), "").unwrap();
+        let err = Journal::load(&dir).unwrap_err();
+        assert!(
+            err.contains("seg-00001.jsonl: missing segment header"),
+            "{err}"
+        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
-    fn loads_legacy_single_file_journals() {
-        let dir = tmp_dir("legacy");
-        std::fs::create_dir_all(&dir).unwrap();
-        // The pre-segmented format, byte for byte as older checkouts
-        // wrote it.
-        let text = r#"{"campaign":"scale=smoke seed=1","cells":3}
-{"cell":0,"key":"exp0","elapsed_secs":0.5,"payload":"{\"meta\":\"exp0\",\"line\":\"a\\nb · π\"}"}
-{"cell":1,"key":"exp1","elapsed_secs":1.5,"payload":"{\"meta\":\"exp1\",\"line\":\"a\\nb · π\"}"}
-"#;
-        std::fs::write(dir.join(JOURNAL_FILE), text).unwrap();
-        let loaded = Journal::load(&dir).unwrap().unwrap();
-        assert_eq!(loaded.manifest, "scale=smoke seed=1");
-        assert_eq!(loaded.indexed, 0);
-        assert_eq!(loaded.scanned, 2);
-        assert_eq!(payloads(&loaded), (0..2).map(sample).collect::<Vec<_>>());
-        // Legacy journals stay appendable in place.
-        let mut j = Journal::reopen(&dir, &loaded).unwrap();
-        j.append(&sample(2)).unwrap();
-        let reloaded = Journal::load(&dir).unwrap().unwrap();
-        assert_eq!(payloads(&reloaded), (0..3).map(sample).collect::<Vec<_>>());
+    fn an_index_len_past_its_segment_is_an_error() {
+        let dir = tmp_dir("bad-len");
+        let mut j = Journal::create(&dir, "m", 3, 2).unwrap();
+        for i in 0..3 {
+            j.append(&sample(i)).unwrap();
+        }
+        j.finish().unwrap();
+        let idx = dir.join(INDEX_FILE);
+        let text = std::fs::read_to_string(&idx).unwrap();
+        let start = text.find("\"len\":").unwrap() + "\"len\":".len();
+        let end = start + text[start..].find('}').unwrap();
+        // The first would have `read_payload` allocate 8 EiB; the second
+        // overflows `offset + len`.
+        for len in [i64::MAX as u64, u64::MAX] {
+            let edited = format!("{}{len}{}", &text[..start], &text[end..]);
+            std::fs::write(&idx, edited).unwrap();
+            let err = Journal::load(&dir).unwrap_err();
+            assert!(err.contains("index/segment disagreement"), "{err}");
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1339,7 +1076,6 @@ mod tests {
         }
         assert!(parse_segment_header(br#"{"campaign":"m","cells":2,"segment":0}"#).is_ok());
         assert!(parse_segment_header(br#"{"campaign":"m","cells":2}"#).is_err());
-        assert!(parse_legacy_header(br#"{"campaign":"m","cells":2,"segment":0}"#).is_err());
         let header =
             r#"{"index":"rbr-journal-v1","manifest_hash":"h","cells":1,"segment_records":4}"#;
         assert!(parse_index_header(header.as_bytes()).is_ok());

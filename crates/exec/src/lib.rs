@@ -27,8 +27,8 @@
 //!   range, so resuming a wide campaign seeks straight to payloads
 //!   instead of rescanning everything. A truncated trailing record (a
 //!   kill mid-write) is tolerated; a torn index tail degrades to a
-//!   scan; a corrupted *sealed* segment is a hard error. Legacy
-//!   single-file `journal.jsonl` journals still load.
+//!   scan; a file cut before its header line is complete holds nothing;
+//!   a corrupted *sealed* segment is a hard error.
 //! * [`cache`] — the content-keyed cross-campaign cell cache
 //!   (`--cache DIR`): an entry per `(manifest, cell key)` digest, each
 //!   hit identity-verified before replaying the stored bytes.
