@@ -578,8 +578,15 @@ fn serve_command(args: &[String]) -> Result<(), String> {
         }
     };
     progress_line(format!(
-        "drained: {} submit(s), {} cancel(s), {} ack(s), {} transaction(s), {} shed",
-        stats.submits, stats.cancels, stats.acks, stats.transactions, stats.shed
+        "drained: {} submit(s), {} cancel(s), {} ack(s), {} transaction(s), {} shed, \
+         {} protocol error(s) ({} ack(s) abandoned)",
+        stats.submits,
+        stats.cancels,
+        stats.acks,
+        stats.transactions,
+        stats.shed,
+        stats.protocol_errors,
+        stats.abandoned_acks
     ));
     let log = stats.admission_log.join("\n") + "\n";
     match flag_value(args, "--log") {

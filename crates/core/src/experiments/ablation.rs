@@ -19,11 +19,12 @@
 use rbr_grid::{GridConfig, Scheme, SelectionPolicy};
 use rbr_sched::Algorithm;
 use rbr_simcore::{Duration, SeedSequence};
+use rbr_stats::Summary;
 
 use crate::report::{Cell, TypedTable};
 use crate::scale::Scale;
 
-use super::{mean_ratio, run_reps, Experiment, RunMetrics};
+use super::{mean_ratio, push_samples, run_paired, Experiment, RunMetrics};
 
 /// A generic (label, relative stretch, relative CV) ablation row.
 #[derive(Clone, Debug)]
@@ -86,8 +87,14 @@ fn relative_rows(
     reps: usize,
     seed: SeedSequence,
 ) -> Row {
-    let b = run_reps(base, reps, seed, RunMetrics::from_run);
-    let t = run_reps(treat, reps, seed, RunMetrics::from_run);
+    let [b, t]: [Vec<RunMetrics>; 2] = run_paired(
+        reps,
+        seed,
+        |_| vec![base.clone(), treat.clone()],
+        RunMetrics::from_run,
+    )
+    .try_into()
+    .expect("two arms");
     let bs: Vec<f64> = b.iter().map(|m| m.stretch_mean).collect();
     Row {
         label,
@@ -198,29 +205,44 @@ pub fn selection_sweep(scale: Scale, scheme: Scheme, seed: u64, reps: Option<usi
 /// counts actual backfilled starts per job under each scheme, making the
 /// mechanism observable instead of conjectural.
 pub fn backfill_sweep(scale: Scale, n: usize, seed: u64, reps: Option<usize>) -> Vec<Row> {
-    use rbr_grid::GridSim;
-    let seed = SeedSequence::new(seed);
-    let mut out = Vec::new();
     let schemes = [Scheme::None, Scheme::R(2), Scheme::Half, Scheme::All];
-    for scheme in schemes {
-        let mut cfg = GridConfig::homogeneous(n, scheme);
-        cfg.window = scale.window();
-        let [per_job, stretch] = super::summarize_cells(reps.unwrap_or(scale.reps()), |rep| {
-            let run = GridSim::execute(cfg.clone(), seed.child(rep as u64));
+    let group: Vec<GridConfig> = schemes
+        .iter()
+        .map(|&scheme| {
+            let mut cfg = GridConfig::homogeneous(n, scheme);
+            cfg.window = scale.window();
+            cfg
+        })
+        .collect();
+    let series = run_paired(
+        reps.unwrap_or(scale.reps()),
+        SeedSequence::new(seed),
+        |_| group.clone(),
+        |run| {
             let per_job = run.backfills as f64 / run.records.len() as f64;
             let stretch = run.stretch(rbr_grid::record::JobClass::All).mean();
             [per_job, stretch]
-        });
-        out.push(Row {
-            label: format!("{scheme}"),
-            // Reuse the generic row: "rel stretch" column carries the
-            // backfills-per-job figure here, "rel CV" the absolute stretch.
-            rel_stretch: per_job.mean(),
-            rel_cv: stretch.mean(),
-            baseline_stretch: f64::NAN,
-        });
-    }
-    out
+        },
+    );
+    schemes
+        .iter()
+        .zip(series)
+        .map(|(scheme, samples)| {
+            let mut summaries = [Summary::new(); 2];
+            for row in samples {
+                push_samples(&mut summaries, row);
+            }
+            let [per_job, stretch] = summaries;
+            Row {
+                label: format!("{scheme}"),
+                // Reuse the generic row: "rel stretch" column carries the
+                // backfills-per-job figure here, "rel CV" the absolute stretch.
+                rel_stretch: per_job.mean(),
+                rel_cv: stretch.mean(),
+                baseline_stretch: f64::NAN,
+            }
+        })
+        .collect()
 }
 
 /// The §3.1.2 remote-request inflation check: +0 %, +10 %, +50 %

@@ -24,12 +24,12 @@
 use rbr_grid::{BatchSpec, BatchedGridSim, GridConfig, RunResult, Scheme};
 use rbr_middleware::{BatchedTransaction, Bottleneck, SystemCapacity};
 use rbr_simcore::{Duration, SeedSequence};
+use rbr_workload::JobSpec;
 
 use crate::report::{Cell, TypedTable};
 use crate::scale::Scale;
 
-use super::framework;
-use super::{run_reps, Comparison, Experiment, RunMetrics};
+use super::{run_paired, Arm, Comparison, Experiment, RunMetrics};
 
 /// Parameters of the batch-size sweep.
 #[derive(Clone, Debug)]
@@ -141,46 +141,64 @@ pub fn capacity_rows(config: &Config) -> Vec<CapacityRow> {
         .collect()
 }
 
-/// Replication harness for the batched simulator: replication `k` uses
-/// `seed.child(k)`, exactly like `run_reps`, so a batched cell pairs
-/// with the unbatched baseline on identical job streams.
-fn run_reps_batched<T, F>(
-    config: &GridConfig,
-    submit_batch: BatchSpec,
-    reps: usize,
-    seed: SeedSequence,
-    reduce: F,
-) -> Vec<T>
-where
-    T: Send,
-    F: Fn(&RunResult) -> T + Sync,
-{
-    let tally = framework::current_tally();
-    rbr_exec::map_cells(reps, |rep| {
-        let _tally = framework::install_tally(tally.clone());
-        let run = BatchedGridSim::execute(config.clone(), submit_batch, seed.child(rep as u64));
-        framework::record_sim(&run);
-        reduce(&run)
-    })
+/// An arm of the batch sweep: the unbatched baseline, or the batching
+/// metascheduler at one submit batch.
+#[derive(Clone)]
+enum BatchArm {
+    Unbatched(GridConfig),
+    Batched(GridConfig, BatchSpec),
 }
 
-/// The behavioral side: batched metascheduler vs the unbatched run.
+impl Arm for BatchArm {
+    fn config(&self) -> &GridConfig {
+        match self {
+            BatchArm::Unbatched(cfg) | BatchArm::Batched(cfg, _) => cfg,
+        }
+    }
+
+    fn run(self, jobs: Vec<(JobSpec, usize)>, seed: SeedSequence) -> RunResult {
+        match self {
+            BatchArm::Unbatched(cfg) => cfg.run(jobs, seed),
+            BatchArm::Batched(cfg, batch) => {
+                BatchedGridSim::with_jobs(cfg, batch, jobs, seed).run()
+            }
+        }
+    }
+}
+
+/// The behavioral side: batched metascheduler vs the unbatched run, one
+/// paired group over each replication's job table.
 pub fn sim_rows(config: &Config) -> Vec<SimRow> {
     let seed = SeedSequence::new(config.seed);
     let mut base = GridConfig::homogeneous(config.n, config.scheme);
     base.window = config.window;
-    let baseline = run_reps(&base, config.reps, seed, RunMetrics::from_run);
     let deadline = Duration::from_secs(config.deadline_secs);
+    let mut group = vec![BatchArm::Unbatched(base.clone())];
+    group.extend(config.batch_sizes.iter().map(|&b| {
+        let batch = BatchSpec::of(b, if b > 1 { deadline } else { Duration::ZERO });
+        let mut cfg = base.clone();
+        cfg.faults.cancel_batch = batch;
+        BatchArm::Batched(cfg, batch)
+    }));
+    let mut series = run_paired(
+        config.reps,
+        seed,
+        |_| group.clone(),
+        |run| (RunMetrics::from_run(run), run.cancel_batches as f64),
+    )
+    .into_iter();
+    let baseline: Vec<RunMetrics> = series
+        .next()
+        .expect("the baseline arm")
+        .into_iter()
+        .map(|(m, _)| m)
+        .collect();
 
     config
         .batch_sizes
         .iter()
-        .map(|&b| {
-            let batch = BatchSpec::of(b, if b > 1 { deadline } else { Duration::ZERO });
-            let mut cfg = base.clone();
-            cfg.faults.cancel_batch = batch;
-            let reduce = |run: &RunResult| (RunMetrics::from_run(run), run.cancel_batches as f64);
-            let cells = run_reps_batched(&cfg, batch, config.reps, seed, reduce);
+        .zip(series)
+        .map(|(&b, cells)| {
             let reps = cells.len() as f64;
             let mean =
                 |f: &dyn Fn(&(RunMetrics, f64)) -> f64| cells.iter().map(f).sum::<f64>() / reps;

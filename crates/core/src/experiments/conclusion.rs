@@ -14,7 +14,7 @@ use rbr_simcore::{Duration, SeedSequence};
 use crate::report::{Cell, TypedTable};
 use crate::scale::Scale;
 
-use super::{run_reps, Experiment, RunMetrics};
+use super::{run_paired, Experiment, RunMetrics};
 
 /// Parameters of the conclusion scenario.
 #[derive(Clone, Debug)]
@@ -75,17 +75,22 @@ pub fn run(config: &Config) -> Vec<Row> {
     let seed = SeedSequence::new(config.seed);
     let mut base = GridConfig::homogeneous(config.n, Scheme::None);
     base.window = config.window;
-    let b = run_reps(&base, config.reps, seed, RunMetrics::from_run);
+    let mut group = vec![base.clone()];
+    group.extend(config.schemes.iter().map(|&scheme| GridConfig {
+        scheme,
+        redundant_fraction: config.fraction,
+        ..base.clone()
+    }));
+    let mut series =
+        run_paired(config.reps, seed, |_| group.clone(), RunMetrics::from_run).into_iter();
+    let b = series.next().expect("the baseline arm");
     let baseline = b.iter().map(|m| m.stretch_mean).sum::<f64>() / b.len() as f64;
 
     config
         .schemes
         .iter()
-        .map(|&scheme| {
-            let mut cfg = base.clone();
-            cfg.scheme = scheme;
-            cfg.redundant_fraction = config.fraction;
-            let t = run_reps(&cfg, config.reps, seed, RunMetrics::from_run);
+        .zip(series)
+        .map(|(&scheme, t)| {
             let nr = t.iter().map(|m| m.stretch_non_redundant).sum::<f64>() / t.len() as f64;
             let r = t.iter().map(|m| m.stretch_redundant).sum::<f64>() / t.len() as f64;
             Row {

@@ -25,7 +25,7 @@ use rbr_stats::WasteAccount;
 use crate::report::{Cell, TypedTable};
 use crate::scale::Scale;
 
-use super::{run_reps, Comparison, Experiment, RunMetrics};
+use super::{run_paired, Comparison, Experiment, RunMetrics};
 
 /// Parameters of the faulty-middleware sweep.
 #[derive(Clone, Debug)]
@@ -93,43 +93,51 @@ pub struct Row {
 
 /// Runs the sweep. Each platform size gets one perfect-middleware
 /// baseline, shared across every (loss, delay) cell at that size — the
-/// paired design on the fault axis.
+/// paired design on the fault axis, run as one paired group.
 pub fn run(config: &Config) -> Vec<Row> {
+    let cells: Vec<(f64, f64)> = config
+        .cancel_loss
+        .iter()
+        .flat_map(|&loss| config.cancel_delay_secs.iter().map(move |&d| (loss, d)))
+        .collect();
     let mut rows = Vec::new();
     for (n_idx, &n) in config.n_values.iter().enumerate() {
         let seed = SeedSequence::new(config.seed).child(n_idx as u64);
         let mut base = GridConfig::homogeneous(n, config.scheme);
         base.window = config.window;
-        let baseline = run_reps(&base, config.reps, seed, RunMetrics::from_run);
+        let mut group = vec![base.clone()];
+        group.extend(cells.iter().map(|&(loss, delay)| {
+            let mut cfg = base.clone();
+            cfg.faults.cancel_loss = loss;
+            cfg.faults.cancel_delay = if delay > 0.0 {
+                Delay::Fixed(Duration::from_secs(delay))
+            } else {
+                Delay::Zero
+            };
+            cfg
+        }));
+        let mut series =
+            run_paired(config.reps, seed, |_| group.clone(), RunMetrics::from_run).into_iter();
+        let baseline = series.next().expect("the baseline arm");
 
-        for &loss in &config.cancel_loss {
-            for &delay in &config.cancel_delay_secs {
-                let mut cfg = base.clone();
-                cfg.faults.cancel_loss = loss;
-                cfg.faults.cancel_delay = if delay > 0.0 {
-                    Delay::Fixed(Duration::from_secs(delay))
-                } else {
-                    Delay::Zero
-                };
-                let treatment = run_reps(&cfg, config.reps, seed, RunMetrics::from_run);
-                let mut waste = WasteAccount::new();
-                for m in &treatment {
-                    waste.add(m.useful_node_secs, m.wasted_node_secs);
-                }
-                let reps = treatment.len() as f64;
-                let wasted_mean = treatment.iter().map(|m| m.wasted_node_secs).sum::<f64>() / reps;
-                let zombies_mean = treatment.iter().map(|m| m.zombie_starts).sum::<f64>() / reps;
-                let cmp = Comparison::new(baseline.clone(), treatment);
-                rows.push(Row {
-                    n,
-                    cancel_loss: loss,
-                    cancel_delay_secs: delay,
-                    rel_stretch: cmp.rel_stretch(),
-                    wasted_node_secs: wasted_mean,
-                    waste_fraction: waste.fraction(),
-                    zombie_starts: zombies_mean,
-                });
+        for (&(loss, delay), treatment) in cells.iter().zip(series) {
+            let mut waste = WasteAccount::new();
+            for m in &treatment {
+                waste.add(m.useful_node_secs, m.wasted_node_secs);
             }
+            let reps = treatment.len() as f64;
+            let wasted_mean = treatment.iter().map(|m| m.wasted_node_secs).sum::<f64>() / reps;
+            let zombies_mean = treatment.iter().map(|m| m.zombie_starts).sum::<f64>() / reps;
+            let cmp = Comparison::new(baseline.clone(), treatment);
+            rows.push(Row {
+                n,
+                cancel_loss: loss,
+                cancel_delay_secs: delay,
+                rel_stretch: cmp.rel_stretch(),
+                wasted_node_secs: wasted_mean,
+                waste_fraction: waste.fraction(),
+                zombie_starts: zombies_mean,
+            });
         }
     }
     rows

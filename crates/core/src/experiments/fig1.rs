@@ -14,7 +14,7 @@ use crate::plot::AsciiPlot;
 use crate::report::{Cell, TypedTable};
 use crate::scale::Scale;
 
-use super::{run_reps, Comparison, Experiment, RunMetrics};
+use super::{run_paired, Comparison, Experiment, RunMetrics};
 
 /// Parameters of the Figure 1/2 sweep.
 #[derive(Clone, Debug)]
@@ -85,17 +85,21 @@ pub fn run(config: &Config) -> Vec<Row> {
     let mut rows = Vec::new();
     for &n in &config.ns {
         let seed = SeedSequence::new(config.seed).child(n as u64);
-        let mut base_cfg = GridConfig::homogeneous(n, Scheme::None);
-        base_cfg.window = config.window;
-        let baseline = run_reps(&base_cfg, config.reps, seed, RunMetrics::from_run);
-
-        for &scheme in &config.schemes {
+        let arm = |scheme: Scheme| {
             let mut cfg = GridConfig::homogeneous(n, scheme);
             cfg.window = config.window;
-            let cmp = Comparison::new(
-                baseline.clone(),
-                run_reps(&cfg, config.reps, seed, RunMetrics::from_run),
-            );
+            cfg
+        };
+        let group: Vec<GridConfig> = std::iter::once(Scheme::None)
+            .chain(config.schemes.iter().copied())
+            .map(arm)
+            .collect();
+        let mut series =
+            run_paired(config.reps, seed, |_| group.clone(), RunMetrics::from_run).into_iter();
+        let baseline = series.next().expect("the baseline arm");
+
+        for (&scheme, treatment) in config.schemes.iter().zip(series) {
+            let cmp = Comparison::new(baseline.clone(), treatment);
             let series = cmp.stretch_series();
             rows.push(Row {
                 n,

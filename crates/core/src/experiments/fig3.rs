@@ -11,7 +11,7 @@ use rbr_simcore::{Duration, SeedSequence};
 use crate::report::{Cell, TypedTable};
 use crate::scale::Scale;
 
-use super::{run_reps, Comparison, Experiment, RunMetrics};
+use super::{run_paired, Comparison, Experiment, RunMetrics};
 
 /// Parameters of the Figure 3 sweep.
 #[derive(Clone, Debug)]
@@ -83,15 +83,19 @@ pub fn run(config: &Config) -> Vec<Row> {
             c.workload = c.workload.with_interarrival_shape(alpha);
         }
         let mean_iat = base.clusters[0].workload.mean_interarrival();
-        let baseline = run_reps(&base, config.reps, seed, RunMetrics::from_run);
+        let group: Vec<GridConfig> = std::iter::once(Scheme::None)
+            .chain(config.schemes.iter().copied())
+            .map(|scheme| GridConfig {
+                scheme,
+                ..base.clone()
+            })
+            .collect();
+        let mut series =
+            run_paired(config.reps, seed, |_| group.clone(), RunMetrics::from_run).into_iter();
+        let baseline = series.next().expect("the baseline arm");
 
-        for &scheme in &config.schemes {
-            let mut cfg = base.clone();
-            cfg.scheme = scheme;
-            let cmp = Comparison::new(
-                baseline.clone(),
-                run_reps(&cfg, config.reps, seed, RunMetrics::from_run),
-            );
+        for (&scheme, treatment) in config.schemes.iter().zip(series) {
+            let cmp = Comparison::new(baseline.clone(), treatment);
             rows.push(Row {
                 alpha,
                 mean_interarrival: mean_iat,

@@ -13,7 +13,7 @@ use rbr_simcore::{Duration, SeedSequence};
 use crate::report::{Cell, TypedTable};
 use crate::scale::Scale;
 
-use super::{run_reps, Experiment, RunMetrics};
+use super::{run_paired, Experiment, RunMetrics};
 
 /// Parameters of the Figure 4 sweep.
 #[derive(Clone, Debug)]
@@ -82,26 +82,40 @@ fn nan_mean(values: impl Iterator<Item = f64>) -> f64 {
     }
 }
 
-/// Runs the sweep.
+/// Runs the sweep. Every (scheme, fraction) point runs on the same
+/// seed, so the whole sweep is one paired group.
 pub fn run(config: &Config) -> Vec<Row> {
-    let mut rows = Vec::new();
-    for &scheme in &config.schemes {
-        for &fraction in &config.fractions {
-            let seed = SeedSequence::new(config.seed);
+    let points: Vec<(Scheme, f64)> = config
+        .schemes
+        .iter()
+        .flat_map(|&scheme| config.fractions.iter().map(move |&f| (scheme, f)))
+        .collect();
+    let group: Vec<GridConfig> = points
+        .iter()
+        .map(|&(scheme, fraction)| {
             let mut cfg = GridConfig::homogeneous(config.n, scheme);
             cfg.redundant_fraction = fraction;
             cfg.window = config.window;
-            let metrics = run_reps(&cfg, config.reps, seed, RunMetrics::from_run);
-            rows.push(Row {
-                scheme,
-                fraction,
-                stretch_r: nan_mean(metrics.iter().map(|m| m.stretch_redundant)),
-                stretch_nr: nan_mean(metrics.iter().map(|m| m.stretch_non_redundant)),
-                stretch_all: nan_mean(metrics.iter().map(|m| m.stretch_mean)),
-            });
-        }
-    }
-    rows
+            cfg
+        })
+        .collect();
+    let series = run_paired(
+        config.reps,
+        SeedSequence::new(config.seed),
+        |_| group.clone(),
+        RunMetrics::from_run,
+    );
+    points
+        .iter()
+        .zip(series)
+        .map(|(&(scheme, fraction), metrics)| Row {
+            scheme,
+            fraction,
+            stretch_r: nan_mean(metrics.iter().map(|m| m.stretch_redundant)),
+            stretch_nr: nan_mean(metrics.iter().map(|m| m.stretch_non_redundant)),
+            stretch_all: nan_mean(metrics.iter().map(|m| m.stretch_mean)),
+        })
+        .collect()
 }
 
 /// Figure 4 as a typed table. The r column at `p = 0` and the n-r column

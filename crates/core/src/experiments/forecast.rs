@@ -17,7 +17,7 @@ use rbr_simcore::{Duration, SeedSequence};
 use crate::report::{Cell, TypedTable};
 use crate::scale::Scale;
 
-use super::{run_reps, Experiment};
+use super::{run_paired, Experiment};
 
 /// Parameters of the forecasting experiment.
 #[derive(Clone, Debug)]
@@ -89,10 +89,15 @@ pub fn run(config: &Config) -> Vec<Row> {
         cfg.redundant_fraction = fraction;
         cfg.window = config.window;
         let floor = config.floor_secs;
-        let pred = predictor.clone();
-        let evals = run_reps(&cfg, config.reps, seed, move |run| {
-            evaluate(run, &pred, floor)
-        });
+        // One arm: each fraction has its own seed child, so no two
+        // configurations share a job stream.
+        let evals = run_paired(
+            config.reps,
+            seed,
+            |_| vec![cfg.clone()],
+            |run| evaluate(run, &predictor, floor),
+        )
+        .remove(0);
 
         let mut push = |population: &str, pick: &Pick| {
             let picked: Vec<_> = evals.iter().map(pick).collect();

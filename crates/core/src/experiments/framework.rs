@@ -23,7 +23,7 @@ use crate::scale::Scale;
 /// Per-experiment tally of grid-simulator executions, used to stamp
 /// [`RunMeta`] with how much simulation a report cost. Each
 /// [`Experiment::run_with`] owns one tally; the replication fan-out in
-/// `run_reps` carries it onto pool worker threads, so counts attribute to
+/// `run_paired` carries it onto pool worker threads, so counts attribute to
 /// the experiment that caused them even when several experiments run
 /// concurrently on the campaign engine — and sum identically for any job
 /// count.

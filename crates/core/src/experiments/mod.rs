@@ -36,8 +36,10 @@
 //! 1. Write the module: a `Config` with `at_scale(Scale)`, a `run`
 //!    function, and a unit struct implementing [`Experiment`] whose
 //!    `tables()` builds [`TypedTable`](crate::report::TypedTable)s from
-//!    the run. Use `run_reps`/[`Comparison`] for the paired
-//!    replication harness.
+//!    the run. Use `run_paired`/[`Comparison`] for the paired
+//!    replication harness: hand it every configuration compared on a
+//!    seed as one group, and each replication runs them all over one
+//!    job table.
 //! 2. Register the unit struct in [`Registry::standard`].
 //!
 //! That is the whole checklist: `rbr list`, `rbr run <name>`, `rbr run
@@ -70,9 +72,11 @@ pub use framework::{Comparison, Experiment};
 pub use registry::Registry;
 
 use rbr_grid::record::JobClass;
+use rbr_grid::sim::generate_jobs;
 use rbr_grid::{GridConfig, GridSim, RunResult};
 use rbr_simcore::SeedSequence;
 use rbr_stats::Summary;
+use rbr_workload::JobSpec;
 
 /// The per-run metrics the figures and tables are built from. Reducing
 /// each run to this immediately keeps memory flat when replications run
@@ -134,77 +138,94 @@ impl RunMetrics {
     }
 }
 
-/// Runs `reps` replications of a configuration, reducing each run with
-/// `reduce`. Replication `k` always uses `seed.child(k)`, so two calls
-/// with the same seed but different schemes see identical job streams —
-/// the paper's paired design.
+/// One arm of a paired comparison: a configuration, and the simulator
+/// that runs it over a replication's shared job table.
+pub(crate) trait Arm {
+    /// The configuration; its workload fields generate the table.
+    fn config(&self) -> &GridConfig;
+
+    /// Runs the arm over `jobs`, the table generated from `seed`.
+    fn run(self, jobs: Vec<(JobSpec, usize)>, seed: SeedSequence) -> RunResult;
+}
+
+impl Arm for GridConfig {
+    fn config(&self) -> &GridConfig {
+        self
+    }
+
+    fn run(self, jobs: Vec<(JobSpec, usize)>, seed: SeedSequence) -> RunResult {
+        GridSim::with_jobs(self, jobs, seed).run()
+    }
+}
+
+/// The paired replication harness: runs every arm of a comparison on
+/// the same job streams and returns each arm's series of reduced runs,
+/// indexed `[arm][rep]`.
 ///
-/// Replications are the *cells* of the campaign engine: each is a pure
-/// function of its index, submitted to the current `rbr-exec` pool and
-/// merged in index order, so the returned vector is bit-identical to the
-/// serial loop for any `--jobs` count.
-pub(crate) fn run_reps<T, F>(
-    config: &GridConfig,
+/// Replication `k` is one `rbr-exec` cell. It builds the group with
+/// `group(k)`, generates the job table once from `seed.child(k)`, and
+/// runs every arm over that table in turn, reducing each run with
+/// `reduce` before the next one starts. Each arm's run is
+/// exactly `GridSim::execute(config, seed.child(k))`, the paper's paired
+/// design, at one table per in-flight cell. Cells merge in index order,
+/// so the result is bit-identical to the serial loop for any `--jobs`
+/// count.
+///
+/// # Panics
+/// Panics if `reps` is 0, if a group is empty, or if an arm's workload
+/// differs from arm 0's ([`GridConfig::same_workload`]): such an arm
+/// would silently run on another arm's stream.
+pub(crate) fn run_paired<A, T>(
     reps: usize,
     seed: SeedSequence,
-    reduce: F,
-) -> Vec<T>
+    group: impl Fn(usize) -> Vec<A> + Sync,
+    reduce: impl Fn(&RunResult) -> T + Sync,
+) -> Vec<Vec<T>>
 where
+    A: Arm,
     T: Send,
-    F: Fn(&RunResult) -> T + Sync,
 {
-    run_reps_with(reps, seed, |_| config.clone(), reduce)
-}
-
-/// Like [`run_reps`] but the configuration itself may depend on the
-/// replication index (heterogeneous platforms are redrawn per
-/// replication in Table 3).
-pub(crate) fn run_reps_with<T, F, C>(
-    reps: usize,
-    seed: SeedSequence,
-    make_config: C,
-    reduce: F,
-) -> Vec<T>
-where
-    T: Send,
-    F: Fn(&RunResult) -> T + Sync,
-    C: Fn(usize) -> GridConfig + Sync,
-{
-    let mut out = Vec::with_capacity(reps);
-    fold_reps_with(reps, seed, make_config, reduce, |_, value| out.push(value));
-    out
-}
-
-/// The streaming primitive under [`run_reps_with`]: each replication's
-/// reduced value is folded into `sink` in replication order as it lands,
-/// so callers that accumulate (rather than compare pairwise) never hold
-/// a per-rep vector. Bit-identical to the serial loop for any job count.
-pub(crate) fn fold_reps_with<T, F, C, S>(
-    reps: usize,
-    seed: SeedSequence,
-    make_config: C,
-    reduce: F,
-    sink: S,
-) where
-    T: Send,
-    F: Fn(&RunResult) -> T + Sync,
-    C: Fn(usize) -> GridConfig + Sync,
-    S: FnMut(usize, T) + Send,
-{
+    assert!(
+        reps > 0,
+        "a paired comparison needs at least one replication"
+    );
     // Cells may execute on pool worker threads; carry the submitting
     // experiment's sim tally across so provenance counts attribute to it
     // (and stay deterministic) regardless of which thread runs the rep.
     let tally = framework::current_tally();
+    let mut series: Vec<Vec<T>> = Vec::new();
     rbr_exec::fold_cells(
         reps,
         |rep| {
             let _tally = framework::install_tally(tally.clone());
-            let run = GridSim::execute(make_config(rep), seed.child(rep as u64));
-            framework::record_sim(&run);
-            reduce(&run)
+            let arms = group(rep);
+            let first = arms.first().expect("a paired group needs an arm").config();
+            for (i, arm) in arms.iter().enumerate().skip(1) {
+                if let Err(field) = first.same_workload(arm.config()) {
+                    panic!("paired arm {i} differs from arm 0 in `{field}`: it cannot share the job table");
+                }
+            }
+            let seed = seed.child(rep as u64);
+            first.validate();
+            let jobs = generate_jobs(first, &seed);
+            arms.into_iter()
+                .map(|arm| {
+                    let run = arm.run(jobs.clone(), seed);
+                    framework::record_sim(&run);
+                    reduce(&run)
+                })
+                .collect::<Vec<T>>()
         },
-        sink,
+        |_, row| {
+            if series.is_empty() {
+                series.resize_with(row.len(), || Vec::with_capacity(reps));
+            }
+            for (arm, value) in series.iter_mut().zip(row) {
+                arm.push(value);
+            }
+        },
     );
+    series
 }
 
 /// Folds `reps` campaign cells into per-column streaming summaries.
@@ -228,15 +249,19 @@ pub(crate) fn summarize_cells<const K: usize>(
             let _tally = framework::install_tally(tally.clone());
             sample(rep)
         },
-        |_, row: [f64; K]| {
-            for (summary, value) in out.iter_mut().zip(row) {
-                if !value.is_nan() {
-                    summary.push(value);
-                }
-            }
-        },
+        |_, row: [f64; K]| push_samples(&mut out, row),
     );
     out
+}
+
+/// Pushes one cell's `K` samples into per-column summaries, skipping NaN
+/// ("no observation for this column in this rep").
+pub(crate) fn push_samples<const K: usize>(summaries: &mut [Summary; K], row: [f64; K]) {
+    for (summary, value) in summaries.iter_mut().zip(row) {
+        if !value.is_nan() {
+            summary.push(value);
+        }
+    }
 }
 
 /// The summary's mean, or NaN when no rep contributed an observation.
@@ -257,6 +282,7 @@ pub(crate) fn mean_ratio(treatment: &[f64], baseline: &[f64]) -> f64 {
 mod tests {
     use super::*;
     use rbr_grid::Scheme;
+    use rbr_sched::Algorithm;
     use rbr_simcore::Duration;
 
     fn tiny(scheme: Scheme) -> GridConfig {
@@ -265,25 +291,117 @@ mod tests {
         cfg
     }
 
+    /// Every field, as bits; the exhaustive pattern fails to compile when
+    /// a field is added and not compared.
+    fn bits(m: &RunMetrics) -> [u64; 12] {
+        let RunMetrics {
+            stretch_mean,
+            stretch_cv,
+            stretch_max,
+            turnaround_mean,
+            stretch_redundant,
+            stretch_non_redundant,
+            max_queue_avg,
+            wasted_node_secs,
+            waste_fraction,
+            zombie_starts,
+            useful_node_secs,
+            utilization,
+        } = *m;
+        [
+            stretch_mean,
+            stretch_cv,
+            stretch_max,
+            turnaround_mean,
+            stretch_redundant,
+            stretch_non_redundant,
+            max_queue_avg,
+            wasted_node_secs,
+            waste_fraction,
+            zombie_starts,
+            useful_node_secs,
+            utilization,
+        ]
+        .map(f64::to_bits)
+    }
+
     #[test]
     fn paired_runs_share_streams() {
         let seed = SeedSequence::new(7);
-        let a = run_reps(&tiny(Scheme::None), 2, seed, |r| r.records.len());
-        let b = run_reps(&tiny(Scheme::All), 2, seed, |r| r.records.len());
-        assert_eq!(a, b, "same seeds must yield identical job populations");
+        let series = run_paired(
+            2,
+            seed,
+            |_| vec![tiny(Scheme::None), tiny(Scheme::All)],
+            |r| r.records.len(),
+        );
+        assert_eq!(
+            series[0], series[1],
+            "same seeds must yield identical job populations"
+        );
+    }
+
+    /// Sharing the table is exact: each arm of the fold equals an
+    /// independent `GridSim::execute` on the replication's seed, across
+    /// schemes, algorithms and a faulty middleware.
+    #[test]
+    fn paired_fold_equals_independent_runs() {
+        let config = |scheme: Scheme, algorithm: Algorithm| {
+            let mut cfg = GridConfig::homogeneous(3, scheme);
+            cfg.window = Duration::from_secs(900.0);
+            cfg.algorithm = algorithm;
+            cfg
+        };
+        let mut lossy = config(Scheme::All, Algorithm::Easy);
+        lossy.faults.cancel_loss = 0.5;
+        let group = vec![
+            config(Scheme::None, Algorithm::Easy),
+            config(Scheme::All, Algorithm::Easy),
+            config(Scheme::Half, Algorithm::Cbf),
+            lossy,
+        ];
+        let seed = SeedSequence::new(19);
+        let reduce = |run: &RunResult| (run.records.len(), bits(&RunMetrics::from_run(run)));
+        let paired = run_paired(3, seed, |_| group.clone(), reduce);
+        assert_eq!(paired.len(), group.len());
+        for (arm, cfg) in group.iter().enumerate() {
+            assert_eq!(paired[arm].len(), 3);
+            for (rep, got) in paired[arm].iter().enumerate() {
+                let run = GridSim::execute(cfg.clone(), seed.child(rep as u64));
+                assert_eq!(*got, reduce(&run), "arm {arm}, replication {rep}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "paired arm 1 differs from arm 0 in `window`")]
+    fn a_mixed_group_panics_naming_the_field() {
+        let mut longer = tiny(Scheme::All);
+        longer.window = Duration::from_secs(1800.0);
+        run_paired(
+            1,
+            SeedSequence::new(3),
+            |_| vec![tiny(Scheme::None), longer.clone()],
+            |_| (),
+        );
     }
 
     #[test]
     fn metrics_are_finite_for_mixed_population() {
         let mut cfg = tiny(Scheme::All);
         cfg.redundant_fraction = 0.5;
-        let m = run_reps(&cfg, 1, SeedSequence::new(8), RunMetrics::from_run);
-        assert!(m[0].stretch_mean >= 1.0);
-        assert!(m[0].stretch_redundant.is_finite());
-        assert!(m[0].stretch_non_redundant.is_finite());
-        assert!(m[0].max_queue_avg >= 0.0);
-        assert!(m[0].useful_node_secs > 0.0);
-        assert!(m[0].utilization > 0.0 && m[0].utilization <= 1.0);
+        let m = run_paired(
+            1,
+            SeedSequence::new(8),
+            |_| vec![cfg.clone()],
+            RunMetrics::from_run,
+        );
+        let m = m[0][0];
+        assert!(m.stretch_mean >= 1.0);
+        assert!(m.stretch_redundant.is_finite());
+        assert!(m.stretch_non_redundant.is_finite());
+        assert!(m.max_queue_avg >= 0.0);
+        assert!(m.useful_node_secs > 0.0);
+        assert!(m.utilization > 0.0 && m.utilization <= 1.0);
     }
 
     #[test]

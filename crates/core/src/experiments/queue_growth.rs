@@ -14,7 +14,7 @@ use rbr_simcore::{Duration, SeedSequence};
 use crate::report::{Cell, TypedTable};
 use crate::scale::Scale;
 
-use super::{mean_ratio, run_reps, Experiment, RunMetrics};
+use super::{mean_ratio, run_paired, Experiment, RunMetrics};
 
 /// Parameters of the queue-growth measurement.
 #[derive(Clone, Debug)]
@@ -81,20 +81,20 @@ pub fn run(config: &Config) -> Output {
     treat.scheme = config.scheme;
 
     let window = config.window;
-    let b = run_reps(&base, config.reps, seed, |run| {
-        (
-            RunMetrics::from_run(run).max_queue_avg,
-            run.submits as f64,
-            run.queue_growth_per_hour(window) / config.n as f64,
-        )
-    });
-    let t = run_reps(&treat, config.reps, seed, |run| {
-        (
-            RunMetrics::from_run(run).max_queue_avg,
-            run.submits as f64,
-            0.0,
-        )
-    });
+    let [b, t]: [Vec<(f64, f64, f64)>; 2] = run_paired(
+        config.reps,
+        seed,
+        |_| vec![base.clone(), treat.clone()],
+        |run| {
+            (
+                RunMetrics::from_run(run).max_queue_avg,
+                run.submits as f64,
+                run.queue_growth_per_hour(window) / config.n as f64,
+            )
+        },
+    )
+    .try_into()
+    .expect("two arms");
     let bq: Vec<f64> = b.iter().map(|x| x.0).collect();
     let tq: Vec<f64> = t.iter().map(|x| x.0).collect();
     Output {

@@ -21,7 +21,7 @@ use rbr_workload::EstimateModel;
 use crate::report::{Cell, TypedTable};
 use crate::scale::Scale;
 
-use super::{run_reps, Comparison, Experiment, RunMetrics};
+use super::{run_paired, Comparison, Experiment, RunMetrics};
 
 /// Parameters of the Table 1 experiment.
 #[derive(Clone, Debug)]
@@ -104,10 +104,15 @@ pub fn run(config: &Config) -> Vec<Row> {
             } else {
                 config.reps
             };
-            let cmp = Comparison::new(
-                run_reps(&base, reps, seed, RunMetrics::from_run),
-                run_reps(&treat, reps, seed, RunMetrics::from_run),
-            );
+            let [baseline, treatment]: [Vec<RunMetrics>; 2] = run_paired(
+                reps,
+                seed,
+                |_| vec![base.clone(), treat.clone()],
+                RunMetrics::from_run,
+            )
+            .try_into()
+            .expect("two arms");
+            let cmp = Comparison::new(baseline, treatment);
             rows.push(Row {
                 algorithm: alg,
                 estimates: est,

@@ -18,7 +18,7 @@ use rbr_simcore::{Duration, SeedSequence};
 use crate::report::{Cell, TypedTable};
 use crate::scale::Scale;
 
-use super::{run_reps, Comparison, Experiment, RunMetrics};
+use super::{run_paired, Comparison, Experiment, RunMetrics};
 
 /// Parameters of the Table 2 experiment.
 #[derive(Clone, Debug)]
@@ -72,21 +72,25 @@ pub fn run(config: &Config) -> Vec<Row> {
     let seed = SeedSequence::new(config.seed);
     let mut base = GridConfig::homogeneous(config.n, Scheme::None);
     base.window = config.window;
-    let baseline = run_reps(&base, config.reps, seed, RunMetrics::from_run);
+    let mut group = vec![base];
+    group.extend(config.schemes.iter().map(|&scheme| {
+        let mut cfg = GridConfig::homogeneous(config.n, scheme);
+        cfg.selection = SelectionPolicy::Biased {
+            ratio: config.bias_ratio,
+        };
+        cfg.window = config.window;
+        cfg
+    }));
+    let mut series =
+        run_paired(config.reps, seed, |_| group.clone(), RunMetrics::from_run).into_iter();
+    let baseline = series.next().expect("the baseline arm");
 
     config
         .schemes
         .iter()
-        .map(|&scheme| {
-            let mut cfg = GridConfig::homogeneous(config.n, scheme);
-            cfg.selection = SelectionPolicy::Biased {
-                ratio: config.bias_ratio,
-            };
-            cfg.window = config.window;
-            let cmp = Comparison::new(
-                baseline.clone(),
-                run_reps(&cfg, config.reps, seed, RunMetrics::from_run),
-            );
+        .zip(series)
+        .map(|(&scheme, treatment)| {
+            let cmp = Comparison::new(baseline.clone(), treatment);
             Row {
                 scheme,
                 rel_stretch: cmp.rel_stretch(),

@@ -16,7 +16,7 @@ use rbr_workload::LublinConfig;
 use crate::report::{Cell, TypedTable};
 use crate::scale::Scale;
 
-use super::{run_reps_with, Comparison, Experiment, RunMetrics};
+use super::{run_paired, Comparison, Experiment, RunMetrics};
 
 /// Parameters of the Table 3 experiment.
 #[derive(Clone, Debug)]
@@ -88,27 +88,30 @@ pub struct Row {
     pub rel_cv: f64,
 }
 
-/// Runs the experiment.
+/// Runs the experiment. Each replication draws its platform once, and
+/// NONE and every scheme run on it over one shared job table.
 pub fn run(config: &Config) -> Vec<Row> {
     let seed = SeedSequence::new(config.seed);
-    let make = |scheme: Scheme| {
-        move |rep: usize| -> GridConfig {
-            let mut cfg = GridConfig::homogeneous(1, scheme);
-            cfg.clusters = config.platform(rep);
-            cfg.window = config.window;
-            cfg
-        }
+    let group = |rep: usize| -> Vec<GridConfig> {
+        let mut base = GridConfig::homogeneous(1, Scheme::None);
+        base.clusters = config.platform(rep);
+        base.window = config.window;
+        let mut group = vec![base.clone()];
+        group.extend(config.schemes.iter().map(|&scheme| GridConfig {
+            scheme,
+            ..base.clone()
+        }));
+        group
     };
-    let baseline = run_reps_with(config.reps, seed, make(Scheme::None), RunMetrics::from_run);
+    let mut series = run_paired(config.reps, seed, group, RunMetrics::from_run).into_iter();
+    let baseline = series.next().expect("the baseline arm");
 
     config
         .schemes
         .iter()
-        .map(|&scheme| {
-            let cmp = Comparison::new(
-                baseline.clone(),
-                run_reps_with(config.reps, seed, make(scheme), RunMetrics::from_run),
-            );
+        .zip(series)
+        .map(|(&scheme, treatment)| {
+            let cmp = Comparison::new(baseline.clone(), treatment);
             Row {
                 scheme,
                 rel_stretch: cmp.rel_stretch(),

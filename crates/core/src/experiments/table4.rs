@@ -25,7 +25,7 @@ use rbr_workload::EstimateModel;
 use crate::report::{Cell, TypedTable};
 use crate::scale::Scale;
 
-use super::{run_reps, Experiment};
+use super::{run_paired, Experiment};
 
 /// Parameters of the Table 4 experiment.
 #[derive(Clone, Debug)]
@@ -97,39 +97,40 @@ pub fn run(config: &Config) -> Vec<Row> {
         cfg.window = config.window;
         cfg
     };
-    let floor = config.floor;
-    let base = run_reps(&base_cfg, config.reps, seed, |run| {
-        let s = run.prediction_ratio(JobClass::All, floor);
-        (s.mean(), s.cv())
-    });
-
     let mut red_cfg = base_cfg.clone();
     red_cfg.scheme = config.scheme;
     red_cfg.redundant_fraction = config.fraction;
-    let red = run_reps(&red_cfg, config.reps, seed, |run| {
-        let nr = run.prediction_ratio(JobClass::NonRedundant, floor);
-        let r = run.prediction_ratio(JobClass::Redundant, floor);
-        (nr.mean(), nr.cv(), r.mean(), r.cv())
-    });
 
-    let avg = |xs: &[f64]| xs.iter().sum::<f64>() / xs.len() as f64;
+    // Each run's (mean, CV) over all, n-r and r jobs, in that order.
+    let floor = config.floor;
+    let arms = run_paired(
+        config.reps,
+        seed,
+        |_| vec![base_cfg.clone(), red_cfg.clone()],
+        |run| {
+            [JobClass::All, JobClass::NonRedundant, JobClass::Redundant].map(|class| {
+                let s = run.prediction_ratio(class, floor);
+                (s.mean(), s.cv())
+            })
+        },
+    );
+
+    let row = |case: String, arm: usize, population: usize| {
+        let reps = &arms[arm];
+        let avg = |stat: fn(&(f64, f64)) -> f64| {
+            reps.iter().map(|r| stat(&r[population])).sum::<f64>() / reps.len() as f64
+        };
+        Row {
+            case,
+            mean_ratio: avg(|s| s.0),
+            cv: avg(|s| s.1),
+        }
+    };
     let pct = (config.fraction * 100.0).round() as u32;
     vec![
-        Row {
-            case: "0% redundant — all jobs".to_string(),
-            mean_ratio: avg(&base.iter().map(|x| x.0).collect::<Vec<_>>()),
-            cv: avg(&base.iter().map(|x| x.1).collect::<Vec<_>>()),
-        },
-        Row {
-            case: format!("{pct}% {} — n-r jobs", config.scheme),
-            mean_ratio: avg(&red.iter().map(|x| x.0).collect::<Vec<_>>()),
-            cv: avg(&red.iter().map(|x| x.1).collect::<Vec<_>>()),
-        },
-        Row {
-            case: format!("{pct}% {} — r jobs", config.scheme),
-            mean_ratio: avg(&red.iter().map(|x| x.2).collect::<Vec<_>>()),
-            cv: avg(&red.iter().map(|x| x.3).collect::<Vec<_>>()),
-        },
+        row("0% redundant — all jobs".to_string(), 0, 0),
+        row(format!("{pct}% {} — n-r jobs", config.scheme), 1, 1),
+        row(format!("{pct}% {} — r jobs", config.scheme), 1, 2),
     ]
 }
 

@@ -26,14 +26,15 @@
 //! test below).
 
 use rand::rngs::StdRng;
-use rbr_faults::{BatchSpec, FaultModel};
-use rbr_sched::{ClusterSet, SchedulerSet};
+use rbr_faults::BatchSpec;
+use rbr_sched::SchedulerSet;
 use rbr_simcore::{SeedSequence, SimTime};
+use rbr_workload::JobSpec;
 
 use crate::config::GridConfig;
 use crate::driver::{CopyPlan, SimDriver, SubmissionProtocol};
 use crate::record::RunResult;
-use crate::sim::{generate_jobs, validate_jobs, MultiCluster};
+use crate::sim::{build_driver, generate_jobs, MultiCluster};
 
 /// Multi-cluster placement submitted through a batching front end: the
 /// inner protocol decides *where copies go*, this wrapper decides *when
@@ -140,6 +141,23 @@ impl BatchedGridSim {
     /// zero deadline (an unfilled transaction would never flush).
     pub fn new(config: GridConfig, submit_batch: BatchSpec, seed: SeedSequence) -> Self {
         config.validate();
+        let jobs = generate_jobs(&config, &seed);
+        Self::with_jobs(config, submit_batch, jobs, seed)
+    }
+
+    /// Builds the batched simulation over an explicit job table, like
+    /// [`GridSim::with_jobs`](crate::GridSim::with_jobs): a table from
+    /// [`generate_jobs`] on `seed` pairs the run with an unbatched one.
+    ///
+    /// # Panics
+    /// Panics like [`BatchedGridSim::new`], and on a job table that does
+    /// not fit the platform.
+    pub fn with_jobs(
+        config: GridConfig,
+        submit_batch: BatchSpec,
+        jobs: Vec<(JobSpec, usize)>,
+        seed: SeedSequence,
+    ) -> Self {
         assert!(
             submit_batch.size >= 1,
             "submit batch size must be at least 1"
@@ -150,28 +168,11 @@ impl BatchedGridSim {
                 "batched submits need a positive flush deadline"
             );
         }
-        let jobs = generate_jobs(&config, &seed);
-        validate_jobs(&config, &jobs);
         let n = config.n_clusters();
-        let faults = if config.faults.is_disabled() {
-            None
-        } else {
-            Some(FaultModel::new(
-                config.faults.clone(),
-                seed.child(n as u64 + 1),
-            ))
-        };
-        let cluster_nodes: Vec<u32> = config.clusters.iter().map(|c| c.nodes).collect();
-        let scheds = ClusterSet::new(config.algorithm, config.cbf_cycle, &cluster_nodes);
-        let protocol = BatchedSubmit::new(MultiCluster::new(&config, jobs), n, submit_batch);
         BatchedGridSim {
-            driver: SimDriver::new(
-                protocol,
-                Box::new(scheds),
-                seed.child(n as u64).rng(),
-                faults,
-                config.collect_predictions,
-            ),
+            driver: build_driver(&config, jobs, seed, |placement| {
+                BatchedSubmit::new(placement, n, submit_batch)
+            }),
         }
     }
 

@@ -91,6 +91,23 @@ impl GridConfig {
         self.clusters.len()
     }
 
+    /// Whether `other` generates the same job table from any seed: equal
+    /// `clusters`, `window` and `estimates`, the only fields
+    /// [`generate_jobs`](crate::sim::generate_jobs) reads. Every other
+    /// field (scheme, selection, algorithm, faults…) may differ. The
+    /// `Err` names the first field that differs.
+    pub fn same_workload(&self, other: &GridConfig) -> Result<(), &'static str> {
+        if self.clusters != other.clusters {
+            Err("clusters")
+        } else if self.window != other.window {
+            Err("window")
+        } else if self.estimates != other.estimates {
+            Err("estimates")
+        } else {
+            Ok(())
+        }
+    }
+
     /// Validates cross-field invariants. Called by the simulation
     /// constructor.
     ///
@@ -139,6 +156,46 @@ mod tests {
     fn cluster_spec_caps_workload_nodes() {
         let spec = ClusterSpec::new(16, LublinConfig::paper_2006());
         assert_eq!(spec.workload.max_nodes, 16);
+    }
+
+    #[test]
+    fn same_workload_ignores_everything_generation_does_not_read() {
+        let base = GridConfig::homogeneous(3, Scheme::None);
+        let mut other = base.clone();
+        other.scheme = Scheme::All;
+        other.selection = SelectionPolicy::LeastLoaded;
+        other.algorithm = Algorithm::Cbf;
+        other.faults.cancel_loss = 0.5;
+        other.redundant_fraction = 0.4;
+        other.remote_inflation = 0.1;
+        other.collect_predictions = true;
+        other.cbf_cycle = Duration::ZERO;
+        assert_eq!(base.same_workload(&other), Ok(()));
+        assert_eq!(other.same_workload(&base), Ok(()));
+    }
+
+    #[test]
+    fn same_workload_names_the_field_that_changes_the_table() {
+        let base = GridConfig::homogeneous(3, Scheme::None);
+        let differ = |edit: fn(&mut GridConfig)| {
+            let mut other = base.clone();
+            edit(&mut other);
+            base.same_workload(&other)
+        };
+        assert_eq!(
+            differ(|c| c.window = Duration::from_secs(900.0)),
+            Err("window")
+        );
+        assert_eq!(
+            differ(|c| c.estimates = EstimateModel::paper_real()),
+            Err("estimates")
+        );
+        assert_eq!(
+            differ(|c| c.clusters[1].workload = c.clusters[1].workload.with_mean_interarrival(8.0)),
+            Err("clusters")
+        );
+        assert_eq!(differ(|c| c.clusters[2].nodes = 64), Err("clusters"));
+        assert_eq!(differ(|c| c.clusters.truncate(2)), Err("clusters"));
     }
 
     #[test]

@@ -89,8 +89,11 @@ impl MultiCluster {
 }
 
 /// Generates every cluster's job stream from the seed hierarchy: stream
-/// `seed.child(i)` drives cluster `i`'s workload.
-pub(crate) fn generate_jobs(config: &GridConfig, seed: &SeedSequence) -> Vec<(JobSpec, usize)> {
+/// `seed.child(i)` drives cluster `i`'s workload. It reads only the
+/// fields [`GridConfig::same_workload`] compares, so configurations that
+/// pass it can share one table: [`GridSim::new`] is this followed by
+/// [`GridSim::with_jobs`].
+pub fn generate_jobs(config: &GridConfig, seed: &SeedSequence) -> Vec<(JobSpec, usize)> {
     let mut jobs: Vec<(JobSpec, usize)> = Vec::new();
     for (i, cluster) in config.clusters.iter().enumerate() {
         let model = LublinModel::new(cluster.workload);
@@ -102,14 +105,24 @@ pub(crate) fn generate_jobs(config: &GridConfig, seed: &SeedSequence) -> Vec<(Jo
     jobs
 }
 
-/// Checks an explicit job table against the platform.
+/// Builds the driver both simulators run: validates `config` and
+/// `jobs`, then wires the fault model (stream `seed.child(n + 1)`), one
+/// scheduler per cluster, and the redundancy/selection stream
+/// `seed.child(n)` around the protocol `wrap` makes of the multi-cluster
+/// placement over `jobs`.
 ///
 /// # Panics
-/// Panics if a home cluster index is out of range or a job requests more
-/// nodes than its home cluster has.
-pub(crate) fn validate_jobs(config: &GridConfig, jobs: &[(JobSpec, usize)]) {
+/// Panics on an invalid configuration, if a home cluster index is out of
+/// range, or if a job requests more nodes than its home cluster has.
+pub(crate) fn build_driver<P: SubmissionProtocol>(
+    config: &GridConfig,
+    jobs: Vec<(JobSpec, usize)>,
+    seed: SeedSequence,
+    wrap: impl FnOnce(MultiCluster) -> P,
+) -> SimDriver<P> {
+    config.validate();
     let n = config.n_clusters();
-    for (spec, home) in jobs {
+    for (spec, home) in &jobs {
         assert!(*home < n, "home cluster {home} out of range");
         assert!(
             spec.nodes <= config.clusters[*home].nodes,
@@ -118,6 +131,26 @@ pub(crate) fn validate_jobs(config: &GridConfig, jobs: &[(JobSpec, usize)]) {
             config.clusters[*home].nodes
         );
     }
+    // The fault stream is child(n + 1): disjoint from the per-cluster
+    // workload streams child(0..n) and the redundancy/selection stream
+    // child(n), so enabling faults never perturbs either.
+    let faults = if config.faults.is_disabled() {
+        None
+    } else {
+        Some(FaultModel::new(
+            config.faults.clone(),
+            seed.child(n as u64 + 1),
+        ))
+    };
+    let cluster_nodes: Vec<u32> = config.clusters.iter().map(|c| c.nodes).collect();
+    let scheds = ClusterSet::new(config.algorithm, config.cbf_cycle, &cluster_nodes);
+    SimDriver::new(
+        wrap(MultiCluster::new(config, jobs)),
+        Box::new(scheds),
+        seed.child(n as u64).rng(),
+        faults,
+        config.collect_predictions,
+    )
 }
 
 impl SubmissionProtocol for MultiCluster {
@@ -207,7 +240,9 @@ impl GridSim {
 
     /// Builds a simulation over an explicit job table — the trace-replay
     /// path ("we conducted some simulations using real-world traces",
-    /// §3.1.1). Each entry is a job spec plus its home cluster index;
+    /// §3.1.1), and the paired path, where one table from
+    /// [`generate_jobs`] runs under every configuration compared on a
+    /// seed. Each entry is a job spec plus its home cluster index;
     /// `config.window` and per-cluster workload models are ignored,
     /// everything else (scheme, selection, algorithm…) applies as usual.
     ///
@@ -215,31 +250,8 @@ impl GridSim {
     /// Panics if a home cluster index is out of range or a job requests
     /// more nodes than its home cluster has.
     pub fn with_jobs(config: GridConfig, jobs: Vec<(JobSpec, usize)>, seed: SeedSequence) -> Self {
-        config.validate();
-        validate_jobs(&config, &jobs);
-        let n = config.n_clusters();
-        // The fault stream is child(n + 1): disjoint from the per-cluster
-        // workload streams child(0..n) and the redundancy/selection
-        // stream child(n), so enabling faults never perturbs either.
-        let faults = if config.faults.is_disabled() {
-            None
-        } else {
-            Some(FaultModel::new(
-                config.faults.clone(),
-                seed.child(n as u64 + 1),
-            ))
-        };
-        let cluster_nodes: Vec<u32> = config.clusters.iter().map(|c| c.nodes).collect();
-        let scheds = ClusterSet::new(config.algorithm, config.cbf_cycle, &cluster_nodes);
-        let protocol = MultiCluster::new(&config, jobs);
         GridSim {
-            driver: SimDriver::new(
-                protocol,
-                Box::new(scheds),
-                seed.child(n as u64).rng(),
-                faults,
-                config.collect_predictions,
-            ),
+            driver: build_driver(&config, jobs, seed, |placement| placement),
         }
     }
 

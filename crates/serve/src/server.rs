@@ -10,7 +10,7 @@
 //! interleaving is then up to the kernel, as with any socket service.
 
 use std::io::{ErrorKind, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::time::Duration as StdDuration;
 
 use rbr_faults::BatchSpec;
@@ -61,6 +61,11 @@ pub struct ServerStats {
     pub transactions: u64,
     /// Submissions shed by the rate limiter.
     pub shed: u64,
+    /// Connections closed for sending a malformed frame or request.
+    pub protocol_errors: u64,
+    /// Acks those connections were still owed when they were closed;
+    /// they no longer count against a drain.
+    pub abandoned_acks: u64,
     /// One admission log line per submission, in decision order.
     pub admission_log: Vec<String>,
 }
@@ -112,6 +117,27 @@ struct Conn {
 }
 
 impl Conn {
+    /// Closes the connection after a protocol error: its unread and
+    /// unwritten bytes are dropped, and the acks it was still owed move
+    /// from `acks_owed` to `stats.abandoned_acks`, so one client's
+    /// garbage costs no other client its clean drain.
+    fn close_on_protocol_error(
+        &mut self,
+        ci: usize,
+        stats: &mut ServerStats,
+        acks_owed: &mut Vec<(usize, u64)>,
+    ) {
+        stats.protocol_errors += 1;
+        let owed = acks_owed.len();
+        acks_owed.retain(|&(conn, _)| conn != ci);
+        stats.abandoned_acks += (owed - acks_owed.len()) as u64;
+        self.reader = FrameReader::new();
+        self.wbuf = Vec::new();
+        self.open = false;
+        // The peer may already be gone; either way it reads EOF.
+        let _ = self.stream.shutdown(Shutdown::Both);
+    }
+
     fn throttled(&self) -> bool {
         self.wbuf.len() > BACKPRESSURE_BYTES
     }
@@ -145,7 +171,9 @@ impl Conn {
 /// Runs the service on an already-bound listener until a client sends
 /// `drain`. Returns the lifetime stats on a clean drain; an `Err` means
 /// acks were lost (a client vanished with receipts outstanding) or the
-/// listener failed — callers should exit non-zero.
+/// listener failed — callers should exit non-zero. A malformed frame or
+/// request closes only the connection that sent it (see
+/// [`ServerStats::protocol_errors`]).
 pub fn serve(listener: TcpListener, config: &ServerConfig) -> Result<ServerStats, String> {
     listener
         .set_nonblocking(true)
@@ -197,13 +225,15 @@ pub fn serve(listener: TcpListener, config: &ServerConfig) -> Result<ServerStats
                     progressed = true;
                     conns[ci].reader.extend(&rbuf[..n]);
                     loop {
-                        let frame = conns[ci]
-                            .reader
-                            .next_frame()
-                            .map_err(|e| format!("connection {ci}: {e}"))?;
+                        let Ok(frame) = conns[ci].reader.next_frame() else {
+                            conns[ci].close_on_protocol_error(ci, &mut stats, &mut acks_owed);
+                            break;
+                        };
                         let Some(payload) = frame else { break };
-                        let req = Request::from_json(payload)
-                            .map_err(|e| format!("connection {ci}: {e}"))?;
+                        let Ok(req) = Request::from_json(payload) else {
+                            conns[ci].close_on_protocol_error(ci, &mut stats, &mut acks_owed);
+                            break;
+                        };
                         handle_request(
                             ci,
                             req,
@@ -481,6 +511,99 @@ mod tests {
             assert!(n > 0, "server hung up early");
             reader.extend(&buf[..n]);
         }
+    }
+
+    /// Sends `bytes` on a fresh connection and waits for the server to
+    /// close it.
+    fn misbehave(addr: std::net::SocketAddr, bytes: &[u8]) {
+        let mut peer = ClientStream::connect(addr).expect("connect");
+        peer.set_read_timeout(Some(StdDuration::from_secs(10)))
+            .expect("timeout");
+        peer.write_all(bytes).expect("write");
+        let mut buf = [0u8; 256];
+        loop {
+            match peer.read(&mut buf) {
+                Ok(0) => return,
+                Ok(_) => {}
+                Err(e) if e.kind() == ErrorKind::ConnectionReset => return,
+                Err(e) => panic!("the server kept a misbehaving peer open: {e}"),
+            }
+        }
+    }
+
+    #[test]
+    fn a_bad_peer_closes_only_its_own_connection() {
+        let config = ServerConfig {
+            batch: BatchSpec::of(8, rbr_simcore::Duration::from_secs(30.0)),
+            ..ServerConfig::default()
+        };
+        let (addr, handle) = start(config);
+
+        // A payload that is not JSON, a length prefix past MAX_FRAME, and
+        // a valid submit (its ack still pending in the batch) followed by
+        // garbage.
+        misbehave(addr, b"5:hello\n");
+        misbehave(addr, b"99999999:");
+        let mut owed = encode_frame(
+            &Request::Submit {
+                id: 900,
+                arrival_secs: 0.0,
+                nodes: 1,
+                runtime_secs: 60.0,
+            }
+            .to_json(),
+        );
+        owed.extend_from_slice(b"3:{{{\n");
+        misbehave(addr, &owed);
+
+        let mut stream = ClientStream::connect(addr).expect("connect");
+        stream
+            .set_read_timeout(Some(StdDuration::from_secs(10)))
+            .expect("timeout");
+        let mut reader = FrameReader::new();
+        let mut expected = Vec::new();
+        for id in 0..12u64 {
+            send(
+                &mut stream,
+                &Request::Submit {
+                    id,
+                    arrival_secs: id as f64,
+                    nodes: 4,
+                    runtime_secs: 600.0,
+                },
+            );
+            expected.push((id, false));
+            if id % 3 == 2 {
+                send(
+                    &mut stream,
+                    &Request::Cancel {
+                        id,
+                        arrival_secs: id as f64 + 0.5,
+                    },
+                );
+                expected.push((id, true));
+            }
+        }
+        send(&mut stream, &Request::Drain);
+        let mut acked = Vec::new();
+        loop {
+            match read_response(&mut stream, &mut reader) {
+                Response::Ack { id, .. } => acked.push((id, false)),
+                Response::CancelAck { id, .. } => acked.push((id, true)),
+                Response::Drained { .. } => break,
+            }
+        }
+        acked.sort_unstable();
+        expected.sort_unstable();
+        assert_eq!(acked, expected, "the good client gets every ack");
+
+        let stats = handle
+            .join()
+            .expect("join")
+            .expect("the drain is clean for everyone else");
+        assert_eq!(stats.protocol_errors, 3);
+        assert_eq!(stats.abandoned_acks, 1, "the third peer's pending submit");
+        assert_eq!(stats.submits, 13);
     }
 
     #[test]
