@@ -1,17 +1,15 @@
 //! The campaign engine's perf trajectory: times a registry campaign
 //! serially and on a multi-lane pool, times a *wide* synthetic campaign
-//! (10⁴–10⁵ cells) streaming vs materializing with peak-RSS deltas,
+//! (10⁴–10⁵ cells) streaming vs materializing with peak-RSS deltas, and
 //! writes the comparison to `BENCH_exec.json` at the repository root
-//! (so later changes can track the speedup), and lets criterion time
-//! the pool's map kernels.
+//! (so later changes can track the speedup).
 
 use std::time::Instant;
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use rbr::experiments::campaign::{run, Plan, RunOptions};
 use rbr::experiments::Registry;
 use rbr::report::Format;
-use rbr_bench::{bench_scale, print_artifact};
+use rbr_bench::print_artifact;
 use rbr_exec::{with_pool, CampaignOptions, CellOutcome, CellSpec, Pool};
 
 /// Runs the campaign once on `pool`, returning (wall seconds, cells).
@@ -175,7 +173,8 @@ fn record_wide_campaign() -> String {
 /// the trajectory (plus the wide-campaign fields) in `BENCH_exec.json`.
 fn record_speedup(wide: &str) {
     let registry = Registry::standard();
-    let scale = bench_scale();
+    // `RBR_SCALE`, smoke by default so the writer stays fast on one core.
+    let scale = rbr::Scale::from_env(rbr::Scale::Smoke);
     let plan = Plan {
         experiments: registry.iter().collect(),
         scale,
@@ -260,48 +259,9 @@ fn record_speedup(wide: &str) {
     print_artifact("campaign engine speedup (BENCH_exec.json)", &body);
 }
 
-fn bench(c: &mut Criterion) {
+fn main() {
     // Wide campaign first: its RSS columns need a VmHWM untouched by
     // the registry experiments' own allocations.
     let wide = record_wide_campaign();
     record_speedup(&wide);
-
-    let mut group = c.benchmark_group("exec");
-    group.sample_size(20);
-    let pool = Pool::new(
-        std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1)
-            .max(2),
-    );
-
-    // Pure engine overhead: scheduling cost per trivial cell.
-    group.bench_function("map_1k_trivial_cells", |b| {
-        b.iter(|| pool.map((0..1_000u64).collect(), |_, x| x.wrapping_mul(2)))
-    });
-
-    // Heterogeneous cells — the shape that motivates stealing: one cell
-    // in sixteen costs ~50x the rest.
-    group.bench_function("map_heterogeneous_cells", |b| {
-        b.iter(|| {
-            pool.map((0..64u64).collect(), |_, x| {
-                let spins = if x % 16 == 0 { 50_000 } else { 1_000 };
-                let mut acc = x;
-                for i in 0..spins {
-                    acc = acc.wrapping_mul(6364136223846793005).wrapping_add(i);
-                }
-                acc
-            })
-        })
-    });
-
-    // Serial baseline for the same trivial cells: what jobs=1 costs.
-    let serial = Pool::new(1);
-    group.bench_function("map_1k_trivial_cells_serial", |b| {
-        b.iter(|| serial.map((0..1_000u64).collect(), |_, x| x.wrapping_mul(2)))
-    });
-    group.finish();
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

@@ -1,19 +1,16 @@
-//! Microbenchmarks of the core kernels: event queue (calendar vs the
-//! reference heap), availability profile, CBF schedule compression,
-//! distribution sampling, and per-algorithm scheduler passes.
+//! Self-timed core kernels: event queue (calendar vs the reference
+//! heap), availability profile, CBF schedule compression, and the
+//! forecaster's per-decision cost.
 //!
-//! Besides the criterion groups, this target writes `BENCH_kernel.json`
-//! at the repository root: one self-timed number per hot kernel so the
-//! perf trajectory is committed alongside the code (see TESTING.md for
-//! how to regenerate).
+//! This target writes `BENCH_kernel.json` at the repository root: one
+//! number per hot kernel, so the perf trajectory is committed alongside
+//! the code (see TESTING.md for how to regenerate).
 
 use std::time::Instant;
 
-use criterion::{criterion_group, criterion_main, Criterion};
-use rbr::dist::{Gamma, HyperGamma, Sample};
 use rbr::forecast::QuantilePredictor;
-use rbr::sched::{Algorithm, CbfScheduler, Profile, Request, RequestId, Scheduler};
-use rbr::sim::{Duration, EventQueue, QueueKind, SeedSequence, SimTime};
+use rbr::sched::{CbfScheduler, Profile, Request, RequestId, Scheduler};
+use rbr::sim::{Duration, EventQueue, QueueKind, SimTime};
 use rbr_bench::print_artifact;
 
 /// Steady-state event-queue churn at grid-realistic occupancy: a few
@@ -175,114 +172,6 @@ fn record_kernels() {
     print_artifact("hot-kernel timings (BENCH_kernel.json)", &body);
 }
 
-fn bench_event_queue(c: &mut Criterion) {
-    let mut group = c.benchmark_group("kernels/event_queue");
-    for kind in [QueueKind::Calendar, QueueKind::Heap] {
-        group.bench_function(format!("{kind:?}_churn_10k"), |b| {
-            b.iter(|| queue_churn(kind, 10_000))
-        });
-    }
-    group.bench_function("push_pop_1k", |b| {
-        b.iter(|| {
-            let mut q = EventQueue::with_capacity(1_024);
-            for i in 0..1_000u64 {
-                // Reversed times exercise real movement in either impl.
-                q.push(SimTime::from_micros(1_000 - i), i);
-            }
-            let mut acc = 0u64;
-            while let Some((_, v)) = q.pop() {
-                acc = acc.wrapping_add(v);
-            }
-            acc
-        })
-    });
-    group.finish();
-}
-
-fn bench_profile(c: &mut Criterion) {
-    let mut group = c.benchmark_group("kernels/profile");
-    group.bench_function("reserve_and_fit_256", |b| {
-        b.iter(|| {
-            let mut p = Profile::new(SimTime::ZERO, 128, 128);
-            let mut acc = 0u64;
-            for i in 0..256u64 {
-                let dur = Duration::from_secs(60.0 + (i % 7) as f64 * 600.0);
-                let nodes = 1 + (i % 64) as u32;
-                let start = p.earliest_fit(SimTime::ZERO, dur, nodes);
-                p.reserve(start, dur, nodes);
-                acc = acc.wrapping_add(start.as_micros());
-            }
-            acc
-        })
-    });
-    group.bench_function("earliest_fit_fragmented_1k", |b| {
-        b.iter(|| earliest_fit_fragmented(1_000))
-    });
-    group.finish();
-}
-
-fn bench_cbf_compression(c: &mut Criterion) {
-    let mut group = c.benchmark_group("kernels/cbf");
-    group.sample_size(20);
-    group.bench_function("compression_burst_q400", |b| {
-        b.iter(|| cbf_compression_burst(400))
-    });
-    group.finish();
-}
-
-fn bench_distributions(c: &mut Criterion) {
-    let mut group = c.benchmark_group("kernels/dist");
-    let gamma = Gamma::new(10.23, 0.49);
-    let hyper = HyperGamma::new(100.0, 0.04, 100.0, 0.055, 0.7);
-    let mut rng = SeedSequence::new(13).rng();
-    group.bench_function("gamma_sample", |b| b.iter(|| gamma.sample(&mut rng)));
-    group.bench_function("hyper_gamma_sample", |b| b.iter(|| hyper.sample(&mut rng)));
-    group.finish();
-}
-
-fn bench_scheduler_pass(c: &mut Criterion) {
-    let mut group = c.benchmark_group("kernels/scheduler");
-    group.sample_size(20);
-    for alg in Algorithm::all() {
-        group.bench_function(format!("{alg}_submit_complete_churn"), |b| {
-            b.iter(|| {
-                let mut sched = alg.build_with_cycle(64, Duration::from_secs(30.0));
-                let mut starts = Vec::new();
-                let mut now = SimTime::ZERO;
-                // 200 jobs of mixed widths through a busy machine.
-                for i in 0..200u64 {
-                    now += Duration::from_secs(3.0);
-                    let req = Request::new(
-                        RequestId(i),
-                        1 + (i % 48) as u32,
-                        Duration::from_secs(60.0 + (i % 11) as f64 * 120.0),
-                        now,
-                    );
-                    sched.submit(now, req, &mut starts);
-                    // Retire whatever started to keep the machine moving
-                    // (run each started job for half its request).
-                    let started: Vec<RequestId> = std::mem::take(&mut starts);
-                    for id in started {
-                        now += Duration::from_secs(1.0);
-                        sched.complete(now, id, &mut starts);
-                    }
-                    starts.clear();
-                }
-                sched.queue_len()
-            })
-        });
-    }
-    group.finish();
-}
-
-fn bench(c: &mut Criterion) {
+fn main() {
     record_kernels();
-    bench_event_queue(c);
-    bench_profile(c);
-    bench_cbf_compression(c);
-    bench_distributions(c);
-    bench_scheduler_pass(c);
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

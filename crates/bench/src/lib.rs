@@ -1,38 +1,13 @@
-//! Shared helpers for the benchmark harness.
+//! Shared helpers for the three ledger writers.
 //!
-//! Every bench target regenerates its figure/table once (printing the
-//! rows the paper reports — scale controlled by `RBR_SCALE`) and then
-//! lets criterion time a representative simulation kernel, so `cargo
-//! bench` doubles as the reproduction harness.
+//! Each bench target (`kernels`, `exec`, `serve`) is a plain
+//! `harness = false` program that times one layer and writes its
+//! `BENCH_*.json` file at the repository root. The figures and tables
+//! themselves come from `rbr run <name>`; the end-to-end benchmark is
+//! `rbr-benchmark/`.
 
-use rbr::experiments::Registry;
-use rbr::report::Format;
-use rbr::Scale;
-
-/// The scale benches regenerate tables at (`RBR_SCALE`; default smoke so
-/// `cargo bench --workspace` stays fast on one core).
-pub fn bench_scale() -> Scale {
-    Scale::from_env(Scale::Smoke)
-}
-
-/// Prints a regenerated artifact with a banner.
+/// Prints a written ledger body with a banner.
 pub fn print_artifact(name: &str, body: &str) {
     println!("\n================ {name} ================");
     println!("{body}");
-}
-
-/// Regenerates a registered experiment at [`bench_scale`] with its
-/// default seed and prints the full report (tables plus provenance
-/// footer).
-///
-/// # Panics
-/// Panics on unknown names, so a renamed experiment breaks its bench
-/// target loudly instead of silently skipping the artifact.
-pub fn regenerate(name: &str) {
-    let registry = Registry::standard();
-    let exp = registry
-        .get(name)
-        .unwrap_or_else(|| panic!("no experiment {name:?} in the registry"));
-    let report = exp.run(bench_scale(), exp.default_seed());
-    print_artifact(exp.description(), &report.render(Format::Text));
 }

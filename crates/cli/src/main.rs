@@ -83,65 +83,32 @@ fn main() -> ExitCode {
                 );
                 return ExitCode::FAILURE;
             };
-            match run_command(name, &args) {
-                Ok(()) => ExitCode::SUCCESS,
-                Err(e) => {
-                    eprintln!("{e}");
-                    ExitCode::FAILURE
-                }
-            }
+            exit_code(run_command(name, &args))
         }
         Some("audit") => {
             let Some(name) = it.next() else {
                 eprintln!("usage: rbr audit <name|all> [--scale S] [--seed N]");
                 return ExitCode::FAILURE;
             };
-            match audit_command(name, &args) {
-                Ok(()) => ExitCode::SUCCESS,
-                Err(e) => {
-                    eprintln!("{e}");
-                    ExitCode::FAILURE
-                }
-            }
+            exit_code(audit_command(name, &args))
         }
         Some("capacity") => {
-            let iat = parse_flag_value(&args, "--iat").unwrap_or(5.0);
-            capacity(iat);
-            ExitCode::SUCCESS
+            exit_code(parse_number(&args, "--iat", 5.0, false, f64::MAX).map(capacity))
         }
         Some("swf-export") => {
             let Some(path) = it.next() else {
                 eprintln!("usage: rbr swf-export <path> [--hours H]");
                 return ExitCode::FAILURE;
             };
-            let hours = parse_flag_value(&args, "--hours").unwrap_or(1.0);
-            swf_export(path, hours)
+            exit_code(swf_export(path, &args))
         }
         Some("throughput") => {
             throughput();
             ExitCode::SUCCESS
         }
-        Some("obs") => match obs_command(&args) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("{e}");
-                ExitCode::FAILURE
-            }
-        },
-        Some("serve") => match serve_command(&args) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("{e}");
-                ExitCode::FAILURE
-            }
-        },
-        Some("loadgen") => match loadgen_command(&args) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("{e}");
-                ExitCode::FAILURE
-            }
-        },
+        Some("obs") => exit_code(obs_command(&args)),
+        Some("serve") => exit_code(serve_command(&args)),
+        Some("loadgen") => exit_code(loadgen_command(&args)),
         Some("--help") | Some("-h") | None => {
             println!(
                 "rbr — reproduction of 'On the Harmfulness of Redundant Batch Requests' (HPDC'06)\n\n\
@@ -188,6 +155,17 @@ fn main() -> ExitCode {
     }
 }
 
+/// Maps a command's result to the process exit code, printing the error.
+fn exit_code(result: Result<(), String>) -> ExitCode {
+    match result {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("{e}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
 /// Resolves the run flags and dispatches `name` (or every entry, for
 /// `all`) through the registry, as one campaign on the `rbr-exec`
 /// engine: each experiment is a cell, journalled under `--out`/`--resume`
@@ -204,7 +182,7 @@ fn run_command(name: &str, args: &[String]) -> Result<(), String> {
         }
     }
     let (dir, resume) = campaign_dir(args)?;
-    let cache = match flag_value(args, "--cache") {
+    let cache = match flag_value(args, "--cache")? {
         None => None,
         Some(c) => {
             std::fs::create_dir_all(c).map_err(|e| format!("cannot create {c}: {e}"))?;
@@ -325,8 +303,8 @@ fn run_command(name: &str, args: &[String]) -> Result<(), String> {
 /// to replay its journal. `--resume DIR` implies `--out DIR`; giving
 /// both with different directories is an error.
 fn campaign_dir(args: &[String]) -> Result<(Option<PathBuf>, bool), String> {
-    let out = flag_value(args, "--out");
-    let resume = flag_value(args, "--resume");
+    let out = flag_value(args, "--out")?;
+    let resume = flag_value(args, "--resume")?;
     match (out, resume) {
         (Some(o), Some(r)) if o != r => Err(format!(
             "--out {o} and --resume {r} name different directories; pass just --resume"
@@ -350,7 +328,7 @@ fn campaign_dir(args: &[String]) -> Result<(Option<PathBuf>, bool), String> {
 /// fidelity already exercises every invariant.
 fn audit_command(name: &str, args: &[String]) -> Result<(), String> {
     let obs_metrics = obs_setup(args)?;
-    let scale = match flag_value(args, "--scale") {
+    let scale = match flag_value(args, "--scale")? {
         None => Scale::Smoke,
         Some(s) => {
             Scale::parse(s).ok_or_else(|| format!("unknown scale {s:?} (smoke|quick|paper)"))?
@@ -402,7 +380,7 @@ fn audit_command(name: &str, args: &[String]) -> Result<(), String> {
 }
 
 fn parse_scale(args: &[String]) -> Result<Scale, String> {
-    match flag_value(args, "--scale") {
+    match flag_value(args, "--scale")? {
         None => Ok(Scale::from_env(Scale::Quick)),
         Some(s) => {
             Scale::parse(s).ok_or_else(|| format!("unknown scale {s:?} (smoke|quick|paper)"))
@@ -411,14 +389,14 @@ fn parse_scale(args: &[String]) -> Result<Scale, String> {
 }
 
 fn parse_format(args: &[String]) -> Result<Format, String> {
-    match flag_value(args, "--format") {
+    match flag_value(args, "--format")? {
         None => Ok(Format::Text),
         Some(f) => Format::parse(f).ok_or_else(|| format!("unknown format {f:?} (text|csv|json)")),
     }
 }
 
 fn parse_seed(args: &[String]) -> Result<Option<u64>, String> {
-    match flag_value(args, "--seed") {
+    match flag_value(args, "--seed")? {
         None => Ok(None),
         Some(s) => s
             .parse::<u64>()
@@ -428,7 +406,7 @@ fn parse_seed(args: &[String]) -> Result<Option<u64>, String> {
 }
 
 fn parse_reps(args: &[String]) -> Result<Option<usize>, String> {
-    match flag_value(args, "--reps") {
+    match flag_value(args, "--reps")? {
         None => Ok(None),
         Some(s) => match s.parse::<usize>() {
             Ok(0) => Err("--reps must be at least 1".to_string()),
@@ -439,7 +417,7 @@ fn parse_reps(args: &[String]) -> Result<Option<usize>, String> {
 }
 
 fn parse_jobs(args: &[String]) -> Result<Option<usize>, String> {
-    match flag_value(args, "--jobs") {
+    match flag_value(args, "--jobs")? {
         None => Ok(None),
         Some(s) => match s.parse::<usize>() {
             Ok(0) => Err("--jobs must be at least 1".to_string()),
@@ -449,26 +427,55 @@ fn parse_jobs(args: &[String]) -> Result<Option<usize>, String> {
     }
 }
 
-fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
+/// The token after `flag`, or `None` when `flag` is absent. A flag given
+/// last, with no value after it, is an error rather than a silent default.
+fn flag_value<'a>(args: &'a [String], flag: &str) -> Result<Option<&'a str>, String> {
+    match args.iter().position(|a| a == flag) {
+        None => Ok(None),
+        Some(i) => match args.get(i + 1) {
+            Some(v) => Ok(Some(v)),
+            None => Err(format!("{flag} needs a value")),
+        },
+    }
 }
 
-fn parse_flag_value(args: &[String], flag: &str) -> Option<f64> {
-    flag_value(args, flag).and_then(|v| v.parse().ok())
+/// The longest span the command line takes (`--hours`, `--deadline`):
+/// 10⁸ hours, far inside what the simulated clock holds (u64
+/// microseconds, about 5·10⁹ hours), so a span plus an instant cannot
+/// overflow it.
+const MAX_SPAN_SECS: f64 = 3.6e11;
+
+/// The number after `flag`, or `default` when `flag` is absent. The value
+/// must be finite, greater than 0 (at least 0 when `zero_ok`) and at most
+/// `max`; anything else is an error that names the flag.
+fn parse_number(
+    args: &[String],
+    flag: &str,
+    default: f64,
+    zero_ok: bool,
+    max: f64,
+) -> Result<f64, String> {
+    let Some(s) = flag_value(args, flag)? else {
+        return Ok(default);
+    };
+    let in_floor = |v: &f64| v.is_finite() && (*v > 0.0 || zero_ok && *v == 0.0);
+    let floor = if zero_ok { "at least" } else { "above" };
+    match s.parse::<f64>().ok().filter(in_floor) {
+        Some(v) if v <= max => Ok(v),
+        Some(_) => Err(format!("{flag} takes at most {max}, not {s:?}")),
+        None => Err(format!("{flag} takes a finite number {floor} 0, not {s:?}")),
+    }
 }
 
 /// Resolves the shared observability flags: `--trace FILE` attaches the
 /// JSONL trace sink, `--metrics FILE` enables the metrics registry.
 /// Returns the metrics path for [`obs_finish`] to snapshot into.
 fn obs_setup(args: &[String]) -> Result<Option<PathBuf>, String> {
-    if let Some(path) = flag_value(args, "--trace") {
+    if let Some(path) = flag_value(args, "--trace")? {
         rbr_obs::trace::start_file(std::path::Path::new(path))
             .map_err(|e| format!("cannot open trace file {path}: {e}"))?;
     }
-    let metrics = flag_value(args, "--metrics").map(PathBuf::from);
+    let metrics = flag_value(args, "--metrics")?.map(PathBuf::from);
     if metrics.is_some() {
         rbr_obs::metrics::set_enabled(true);
     }
@@ -530,8 +537,8 @@ fn progress_line(line: String) {
 /// Runs the batching metascheduler service until a client drains it.
 fn serve_command(args: &[String]) -> Result<(), String> {
     let obs_metrics = obs_setup(args)?;
-    let addr = flag_value(args, "--addr").unwrap_or("127.0.0.1:7206");
-    let batch = match flag_value(args, "--batch") {
+    let addr = flag_value(args, "--addr")?.unwrap_or("127.0.0.1:7206");
+    let batch = match flag_value(args, "--batch")? {
         None => 8u32,
         Some(s) => match s.parse::<u32>() {
             Ok(0) => return Err("--batch must be at least 1".to_string()),
@@ -539,11 +546,11 @@ fn serve_command(args: &[String]) -> Result<(), String> {
             Err(e) => return Err(format!("bad batch size {s:?}: {e}")),
         },
     };
-    let deadline = parse_flag_value(args, "--deadline").unwrap_or(30.0);
-    if batch > 1 && deadline <= 0.0 {
+    let deadline = parse_number(args, "--deadline", 30.0, true, MAX_SPAN_SECS)?;
+    if batch > 1 && deadline == 0.0 {
         return Err("--deadline must be positive when --batch > 1".to_string());
     }
-    let clock = match flag_value(args, "--clock") {
+    let clock = match flag_value(args, "--clock")? {
         None => rbr_serve::ClockMode::Virtual,
         Some(s) => rbr_serve::ClockMode::parse(s)
             .ok_or_else(|| format!("unknown clock {s:?} (virtual|wall)"))?,
@@ -589,7 +596,7 @@ fn serve_command(args: &[String]) -> Result<(), String> {
         stats.abandoned_acks
     ));
     let log = stats.admission_log.join("\n") + "\n";
-    match flag_value(args, "--log") {
+    match flag_value(args, "--log")? {
         None => print!("{log}"),
         Some(path) => {
             std::fs::write(path, log).map_err(|e| format!("cannot write {path}: {e}"))?;
@@ -601,7 +608,7 @@ fn serve_command(args: &[String]) -> Result<(), String> {
 
 /// Replays a Lublin arrival stream against a running service.
 fn loadgen_command(args: &[String]) -> Result<(), String> {
-    let jobs = match flag_value(args, "--jobs") {
+    let jobs = match flag_value(args, "--jobs")? {
         None => 1_000usize,
         Some(s) => match s.parse::<usize>() {
             Ok(0) => return Err("--jobs must be at least 1".to_string()),
@@ -609,12 +616,9 @@ fn loadgen_command(args: &[String]) -> Result<(), String> {
             Err(e) => return Err(format!("bad job count {s:?}: {e}")),
         },
     };
-    let rate = parse_flag_value(args, "--rate").unwrap_or(1.0);
-    if rate <= 0.0 {
-        return Err("--rate must be positive".to_string());
-    }
+    let rate = parse_number(args, "--rate", 1.0, false, f64::MAX)?;
     let config = rbr_serve::LoadgenConfig {
-        addr: flag_value(args, "--addr")
+        addr: flag_value(args, "--addr")?
             .unwrap_or("127.0.0.1:7206")
             .to_string(),
         jobs,
@@ -652,7 +656,8 @@ fn capacity(iat: f64) {
     let _ = max_redundancy(iat, 6.0);
 }
 
-fn swf_export(path: &str, hours: f64) -> ExitCode {
+fn swf_export(path: &str, args: &[String]) -> Result<(), String> {
+    let hours = parse_number(args, "--hours", 1.0, false, MAX_SPAN_SECS / 3600.0)?;
     let model = LublinModel::new(LublinConfig::paper_2006());
     let jobs = model.generate(
         &mut SeedSequence::new(2006).rng(),
@@ -667,16 +672,9 @@ fn swf_export(path: &str, hours: f64) -> ExitCode {
             format!("Hours: {hours}"),
         ],
     );
-    match std::fs::write(path, trace.to_swf()) {
-        Ok(()) => {
-            println!("wrote {} jobs to {path}", jobs.len());
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("cannot write {path}: {e}");
-            ExitCode::FAILURE
-        }
-    }
+    std::fs::write(path, trace.to_swf()).map_err(|e| format!("cannot write {path}: {e}"))?;
+    println!("wrote {} jobs to {path}", jobs.len());
+    Ok(())
 }
 
 fn throughput() {
@@ -686,7 +684,7 @@ fn throughput() {
         "CBF pairs/s",
         "FCFS pairs/s",
     ]);
-    for q in [0usize, 1_000, 5_000, 10_000] {
+    for q in [0usize, 1_000, 5_000, 10_000, 20_000] {
         let mut row = vec![q.to_string()];
         for alg in [Algorithm::Easy, Algorithm::Cbf, Algorithm::Fcfs] {
             row.push(format!("{:.0}", fig5::native_throughput(alg, q, 500, 7)));
@@ -707,11 +705,15 @@ mod tests {
     #[test]
     fn flag_value_finds_following_token() {
         let a = args(&["run", "fig1", "--scale", "paper"]);
-        assert_eq!(flag_value(&a, "--scale"), Some("paper"));
-        assert_eq!(flag_value(&a, "--iat"), None);
-        // Flag at the end with no value.
+        assert_eq!(flag_value(&a, "--scale"), Ok(Some("paper")));
+        assert_eq!(flag_value(&a, "--iat"), Ok(None));
+        // A flag at the end with no value is an error, not a default.
         let b = args(&["capacity", "--iat"]);
-        assert_eq!(flag_value(&b, "--iat"), None);
+        assert_eq!(
+            flag_value(&b, "--iat"),
+            Err("--iat needs a value".to_string())
+        );
+        assert!(parse_scale(&args(&["run", "fig1", "--scale"])).is_err());
     }
 
     #[test]
@@ -761,12 +763,59 @@ mod tests {
     }
 
     #[test]
-    fn parse_flag_value_parses_numbers() {
-        assert_eq!(
-            parse_flag_value(&args(&["--iat", "2.5"]), "--iat"),
-            Some(2.5)
-        );
-        assert_eq!(parse_flag_value(&args(&["--iat", "x"]), "--iat"), None);
+    fn parse_number_parses_numbers_and_defaults_when_absent() {
+        let iat = |a: &[&str]| parse_number(&args(a), "--iat", 5.0, false, f64::MAX);
+        assert_eq!(iat(&["capacity", "--iat", "2.5"]), Ok(2.5));
+        assert_eq!(iat(&["capacity"]), Ok(5.0));
+        let deadline = |v| parse_number(&args(&["--deadline", v]), "--deadline", 30.0, true, 60.0);
+        assert_eq!(deadline("0"), Ok(0.0));
+        assert_eq!(deadline("60"), Ok(60.0));
+    }
+
+    #[test]
+    fn parse_number_rejects_malformed_non_finite_and_out_of_range_values() {
+        // Every rejection names the flag, so the user sees what to fix.
+        let rejects = |flag: &str, v: &str, zero_ok: bool, max: f64| {
+            let err = parse_number(&args(&["cmd", flag, v]), flag, 1.0, zero_ok, max).unwrap_err();
+            assert!(err.starts_with(flag), "{flag} {v}: {err}");
+        };
+        for v in ["x", "", "2x", "nan", "NaN", "inf", "-inf", "0", "-0", "-1"] {
+            rejects("--iat", v, false, f64::MAX);
+            rejects("--rate", v, false, f64::MAX);
+            rejects("--hours", v, false, 1e8);
+        }
+        for v in ["x", "nan", "inf", "-1", "1e300"] {
+            rejects("--deadline", v, true, MAX_SPAN_SECS);
+        }
+        rejects("--hours", "1e9", false, 1e8);
+        // A value flag given last has no value to parse.
+        let err = parse_number(&args(&["capacity", "--iat"]), "--iat", 5.0, false, f64::MAX);
+        assert_eq!(err, Err("--iat needs a value".to_string()));
+    }
+
+    #[test]
+    fn commands_reject_bad_numbers_before_doing_anything() {
+        let swf = std::env::temp_dir().join(format!("rbr-cli-bad-{}.swf", std::process::id()));
+        let swf = swf.to_string_lossy().into_owned();
+        for a in [
+            &["swf-export", "--hours", "-1"][..],
+            &["swf-export", "--hours"],
+        ] {
+            assert!(swf_export(&swf, &args(a)).is_err(), "{a:?}");
+        }
+        assert!(!std::path::Path::new(&swf).exists());
+        for deadline in ["nan", "0", "-5"] {
+            let a = args(&["serve", "--batch", "8", "--deadline", deadline]);
+            assert!(serve_command(&a).is_err(), "--deadline {deadline}");
+        }
+        assert!(serve_command(&args(&["serve", "--addr"])).is_err());
+        for a in [
+            &["loadgen", "--rate", "nan"][..],
+            &["loadgen", "--rate", "0"],
+            &["loadgen", "--rate"],
+        ] {
+            assert!(loadgen_command(&args(a)).is_err(), "{a:?}");
+        }
     }
 
     #[test]

@@ -12,8 +12,8 @@
 //!    optional crash-injected curve.
 //! 2. [`native_throughput`] — an honest measurement of *this crate's*
 //!    schedulers: wall-clock submit+cancel rate at pinned queue sizes
-//!    (the criterion bench drives this), which exhibits the same
-//!    monotone decay on real hardware.
+//!    (`rbr throughput` sweeps it from 0 to 20 000), which exhibits the
+//!    same monotone decay on real hardware.
 
 use rand::RngExt;
 use rbr_middleware::{ChurnExperiment, ChurnPoint};
@@ -300,7 +300,8 @@ mod tests {
 
     #[test]
     fn native_throughput_is_positive_and_decays() {
-        // Tiny op counts: this is a smoke check, the bench does it right.
+        // Tiny op counts: this is a smoke check; `rbr throughput` does
+        // it right.
         let fast = native_throughput(Algorithm::Easy, 10, 200, 1);
         let slow = native_throughput(Algorithm::Easy, 5_000, 200, 1);
         assert!(fast > 0.0 && slow > 0.0);

@@ -113,8 +113,8 @@ fn fixed_wall_time() -> Option<f64> {
 /// measurement and simulation accounting and stamps the result with
 /// [`RunMeta`]. Registering the implementation in
 /// [`Registry::standard`](super::Registry::standard) is all it takes to
-/// appear in `rbr list`, `rbr run`, the benches, and the framework smoke
-/// test.
+/// appear in `rbr list`, `rbr run`, the campaign ledger, and the
+/// framework smoke test.
 pub trait Experiment: Send + Sync {
     /// Canonical registry name (`"fig1"`, `"table3"`, `"queue-growth"`).
     fn name(&self) -> &'static str;

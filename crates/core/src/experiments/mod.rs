@@ -5,7 +5,7 @@
 //! Every entry implements the [`Experiment`] trait — `(scale, seed)` in,
 //! structured [`Report`](crate::report::Report) out — and the registry
 //! is the *only* list of experiments in the workspace: the CLI, the
-//! criterion benches, and the framework smoke test all iterate it.
+//! campaign ledger, and the framework smoke test all iterate it.
 //!
 //! | registry name | module | reproduces |
 //! |---------------|--------|------------|
@@ -43,8 +43,8 @@
 //! 2. Register the unit struct in [`Registry::standard`].
 //!
 //! That is the whole checklist: `rbr list`, `rbr run <name>`, `rbr run
-//! all`, the benches, and the registry smoke test pick it up from the
-//! registry.
+//! all`, the campaign ledger, and the registry smoke test pick it up
+//! from the registry.
 
 pub mod ablation;
 pub mod batch;

@@ -1,10 +1,11 @@
 //! The experiment registry: one boxed [`Experiment`] per figure, table,
 //! and ablation, in paper order.
 //!
-//! The CLI (`rbr list` / `rbr run`), the criterion benches, and the
+//! The CLI (`rbr list` / `rbr run`), the campaign ledger
+//! (`BENCH_exec.json`), the benchmark's campaign workload, and the
 //! framework smoke test all iterate this registry, so a new experiment
-//! registered here is immediately runnable, benchable, and tested —
-//! there is no second table to keep in sync.
+//! registered here is immediately runnable, timed, and tested — there is
+//! no second table to keep in sync.
 
 use super::framework::Experiment;
 use super::{

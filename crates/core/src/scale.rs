@@ -6,8 +6,8 @@
 //!
 //! * [`Scale::Smoke`] — seconds; used by tests.
 //! * [`Scale::Quick`] — minutes on a laptop core; the default for
-//!   benches and examples. Shapes are stable; error bars are wider than
-//!   the paper's.
+//!   `rbr run` and the examples. Shapes are stable; error bars are wider
+//!   than the paper's.
 //! * [`Scale::Paper`] — the paper's full 50 × 6 h protocol.
 //!
 //! Override via the `RBR_SCALE` environment variable

@@ -15,10 +15,10 @@
 //!   injector; the submitting thread participates while it waits, so one
 //!   lane degenerates to a plain serial loop and nested fan-outs (an
 //!   experiment's replications inside a campaign's experiments) cannot
-//!   deadlock. [`pool::map`] / [`pool::map_cells`] collect;
-//!   [`pool::map_fold`] / [`pool::fold_cells`] instead deliver each
-//!   result to an in-order sink through a bounded reorder window, so
-//!   arbitrarily wide fan-outs hold O(window) results in flight.
+//!   deadlock. Its one primitive is the fold: [`pool::map_fold`] /
+//!   [`pool::fold_cells`] deliver each result to an in-order sink
+//!   through a bounded reorder window, so arbitrarily wide fan-outs
+//!   hold O(window) results in flight.
 //!   [`pool::with_pool`] pins a scope to a specific pool, and
 //!   [`pool::configure`] sizes the process-global one (`--jobs`).
 //! * [`journal`] — the crash-safe, *segmented* campaign journal:
@@ -60,4 +60,4 @@ pub use campaign::{
     Progress,
 };
 pub use journal::{Journal, Record};
-pub use pool::{configure, fold_cells, map, map_cells, map_fold, with_pool, Pool, PoolMetrics};
+pub use pool::{configure, fold_cells, map_fold, with_pool, Pool, PoolMetrics};

@@ -10,21 +10,26 @@
 //!   when it runs dry;
 //! * a global injector queue receives work submitted from threads that
 //!   are not pool workers (the CLI main thread, test threads);
-//! * a submitting thread is itself a participant: [`Pool::map`] blocks
+//! * a submitting thread is itself a participant: [`map_fold`] blocks
 //!   until its batch completes, and while blocked it executes cells
 //!   instead of sleeping, so `jobs = 1` (a pool with zero workers) is an
 //!   ordinary serial loop and nested submissions can never deadlock —
 //!   every un-started cell of a batch is always claimable by the thread
 //!   waiting on that batch.
 //!
+//! The pool has one primitive, the fold: [`map_fold`] (and
+//! [`fold_cells`], its shape over cell indices) runs on the current pool
+//! — the innermost [`with_pool`], else the pool whose worker is calling,
+//! else the global one. A caller that wants a vector pushes into it from
+//! the sink.
+//!
 //! Determinism: a cell's inputs come only from its index (experiments
 //! derive per-cell seeds hierarchically), and every completed cell is
 //! routed through a bounded reorder window that releases results in
-//! index order ([`Pool::map_fold`], the primitive [`Pool::map`] is built
-//! on). Results therefore stream to the caller in submission order,
-//! bit-identical to the serial evaluation, for any worker count and any
-//! steal interleaving — and a fold over a campaign of N cells holds at
-//! most one reorder window of results, not N.
+//! index order. Results therefore stream to the caller in submission
+//! order, bit-identical to the serial evaluation, for any worker count
+//! and any steal interleaving — and a fold over a campaign of N cells
+//! holds at most one reorder window of results, not N.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -33,13 +38,13 @@ use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 /// A unit of queued work: one cell of some batch, with its lifetime
-/// erased (see the safety comment in [`Shared::map_impl`]).
+/// erased (see the safety comment in [`FoldCtx::make_task`]).
 struct Task {
     batch: Arc<Batch>,
     run: Box<dyn FnOnce() + Send + 'static>,
 }
 
-/// Completion state of one [`Pool::map`] call.
+/// Completion state of one fold.
 struct Batch {
     /// Cells completed so far (executed or panicked).
     done: Mutex<usize>,
@@ -199,10 +204,9 @@ impl Shared {
         }
     }
 
-    /// The streaming fold under both [`Pool::map`] and the campaign
-    /// engine: evaluates `f` over every item on the pool and delivers
-    /// each result to `sink` in input order, as it lands, through a
-    /// bounded reorder window.
+    /// The streaming fold under [`map_fold`]: evaluates `f` over every
+    /// item on the pool and delivers each result to `sink` in input
+    /// order, as it lands, through a bounded reorder window.
     ///
     /// The window is what keeps memory flat: at most `window` cells are
     /// in flight or buffered at once (`FOLD_WINDOW_PER_LANE` per lane),
@@ -274,23 +278,9 @@ impl Shared {
             }
         }
     }
-
-    /// [`Pool::map`]'s body: a fold whose sink appends to a vector.
-    /// Delivery order is input order, so a plain push reconstructs the
-    /// serial result.
-    fn map_collect<T, R, F>(self: &Arc<Self>, items: Vec<T>, f: F) -> Vec<R>
-    where
-        T: Send,
-        R: Send,
-        F: Fn(usize, T) -> R + Sync,
-    {
-        let mut out = Vec::with_capacity(items.len());
-        self.map_fold_impl(items, f, |_, r| out.push(r));
-        out
-    }
 }
 
-/// In-flight + buffered cells per execution lane in a [`Pool::map_fold`]
+/// In-flight + buffered cells per execution lane in a [`map_fold`]
 /// reorder window: enough slack that a lane never idles waiting on the
 /// delivery head, small enough that a stalled head (one slow cell at the
 /// front) bounds buffered results to a constant.
@@ -486,7 +476,7 @@ fn worker_index_on(shared: &Arc<Shared>) -> Option<usize> {
 /// A work-stealing pool of `jobs` execution lanes: `jobs - 1` worker
 /// threads plus the submitting thread, which participates while it waits
 /// on a batch. `Pool::new(1)` spawns no threads at all and evaluates
-/// every [`Pool::map`] serially on the caller.
+/// every fold serially on the caller.
 pub struct Pool {
     shared: Arc<Shared>,
     handles: Vec<std::thread::JoinHandle<()>>,
@@ -512,34 +502,6 @@ impl Pool {
     /// Total execution lanes (workers + the participating submitter).
     pub fn jobs(&self) -> usize {
         self.shared.workers() + 1
-    }
-
-    /// Maps `f` over `items` on the pool, returning results in input
-    /// order. Equivalent to the serial loop for any job count. Built on
-    /// [`Pool::map_fold`]; use the fold directly when the result set is
-    /// too large to materialize.
-    pub fn map<T, R, F>(&self, items: Vec<T>, f: F) -> Vec<R>
-    where
-        T: Send,
-        R: Send,
-        F: Fn(usize, T) -> R + Sync,
-    {
-        self.shared.map_collect(items, f)
-    }
-
-    /// Streams `f` over `items`: each result is delivered to `sink` in
-    /// input order, as it lands, through a bounded reorder window — so a
-    /// fold over N cells holds O(window) results, not O(N). Delivery is
-    /// bit-identical to the serial loop for any job count. `sink` runs
-    /// under the fold's internal lock and must not submit pool work.
-    pub fn map_fold<T, R, F, S>(&self, items: Vec<T>, f: F, sink: S)
-    where
-        T: Send,
-        R: Send,
-        F: Fn(usize, T) -> R + Sync,
-        S: FnMut(usize, R) + Send,
-    {
-        self.shared.map_fold_impl(items, f, sink)
     }
 
     /// A snapshot of the pool's per-worker counters.
@@ -632,7 +594,7 @@ static GLOBAL: OnceLock<Pool> = OnceLock::new();
 
 /// Sets the global pool's lane count. Returns `false` (and changes
 /// nothing) if the global pool was already built — call this before the
-/// first [`map`]/[`map_cells`] that falls through to the global pool.
+/// first fold that falls through to the global pool.
 pub fn configure(jobs: usize) -> bool {
     let mut applied = false;
     GLOBAL.get_or_init(|| {
@@ -660,8 +622,8 @@ fn default_jobs() -> usize {
 }
 
 /// Runs `f` with `pool` installed as this thread's current pool, so that
-/// [`map`] calls inside `f` (e.g. the experiment framework's replication
-/// fan-out) use it instead of the global pool.
+/// folds inside `f` (e.g. the experiment framework's replication fan-out)
+/// use it instead of the global pool.
 pub fn with_pool<R>(pool: &Pool, f: impl FnOnce() -> R) -> R {
     struct Guard;
     impl Drop for Guard {
@@ -676,7 +638,7 @@ pub fn with_pool<R>(pool: &Pool, f: impl FnOnce() -> R) -> R {
     f()
 }
 
-/// The pool [`map`] uses on this thread: the innermost [`with_pool`]
+/// The pool a fold uses on this thread: the innermost [`with_pool`]
 /// override, else the pool whose worker is running this thread, else the
 /// global pool.
 fn current_shared() -> Arc<Shared> {
@@ -689,19 +651,12 @@ fn current_shared() -> Arc<Shared> {
     Arc::clone(&global().shared)
 }
 
-/// Maps `f` over `items` on the current pool (see [`with_pool`]),
-/// returning results in input order.
-pub fn map<T, R, F>(items: Vec<T>, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(usize, T) -> R + Sync,
-{
-    current_shared().map_collect(items, f)
-}
-
-/// Streams `f` over `items` on the current pool, delivering each result
-/// to `sink` in input order as it lands (see [`Pool::map_fold`]).
+/// Streams `f` over `items` on the current pool (see [`with_pool`]): each
+/// result is delivered to `sink` in input order, as it lands, through a
+/// bounded reorder window — so a fold over N cells holds O(window)
+/// results, not O(N). Delivery is bit-identical to the serial loop for
+/// any job count. `sink` runs under the fold's internal lock and must not
+/// submit pool work.
 pub fn map_fold<T, R, F, S>(items: Vec<T>, f: F, sink: S)
 where
     T: Send,
@@ -712,20 +667,9 @@ where
     current_shared().map_fold_impl(items, f, sink)
 }
 
-/// Maps `f` over the cell indices `0..n` on the current pool — the shape
-/// replication fan-outs take.
-pub fn map_cells<R, F>(n: usize, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(usize) -> R + Sync,
-{
-    map((0..n).collect(), |_, i| f(i))
-}
-
 /// Streams `f` over the cell indices `0..n` on the current pool,
 /// folding each result into `sink` in index order as it lands — the
-/// memory-flat sibling of [`map_cells`] for folds that never need the
-/// full result vector.
+/// shape replication fan-outs take.
 pub fn fold_cells<R, F, S>(n: usize, f: F, sink: S)
 where
     R: Send,
@@ -741,23 +685,54 @@ mod tests {
     use std::sync::atomic::AtomicUsize;
     use std::sync::Barrier;
 
+    /// Folds `f` over `items` on `pool`, collecting `(index, result)` in
+    /// delivery order.
+    fn fold_on<T, R, F>(pool: &Pool, items: Vec<T>, f: F) -> Vec<(usize, R)>
+    where
+        T: Send,
+        R: Send,
+        F: Fn(usize, T) -> R + Sync,
+    {
+        let mut out = Vec::new();
+        with_pool(pool, || map_fold(items, f, |i, r| out.push((i, r))));
+        out
+    }
+
+    /// [`fold_on`] without the delivery indices.
+    fn collect_on<T, R, F>(pool: &Pool, items: Vec<T>, f: F) -> Vec<R>
+    where
+        T: Send,
+        R: Send,
+        F: Fn(usize, T) -> R + Sync,
+    {
+        fold_on(pool, items, f)
+            .into_iter()
+            .map(|(_, r)| r)
+            .collect()
+    }
+
     #[test]
-    fn map_matches_serial_for_every_job_count() {
-        let expect: Vec<u64> = (0..97u64).map(|x| x * x + 1).collect();
+    fn folds_deliver_in_input_order_for_every_job_count() {
+        let expect: Vec<(usize, u64)> = (0..257u64).map(|x| (x as usize, x * 3 + 1)).collect();
         for jobs in [1, 2, 3, 8] {
             let pool = Pool::new(jobs);
-            let got = pool.map((0..97u64).collect(), |_, x| x * x + 1);
-            assert_eq!(got, expect, "jobs = {jobs}");
+            let got = fold_on(&pool, (0..257u64).collect(), |_, x| x * 3 + 1);
+            assert_eq!(got, expect, "map_fold, jobs = {jobs}");
+            let mut cells = Vec::new();
+            with_pool(&pool, || {
+                fold_cells(257, |i| i as u64 * 3 + 1, |i, v| cells.push((i, v)))
+            });
+            assert_eq!(cells, expect, "fold_cells, jobs = {jobs}");
         }
     }
 
     #[test]
-    fn empty_and_single_item_maps_run_inline() {
+    fn empty_and_single_item_folds_run_inline() {
         let pool = Pool::new(4);
-        let none: Vec<u32> = pool.map(Vec::<u32>::new(), |_, x| x);
+        let none: Vec<u32> = collect_on(&pool, Vec::<u32>::new(), |_, x| x);
         assert!(none.is_empty());
         let caller = std::thread::current().id();
-        let one = pool.map(vec![5u32], |_, x| {
+        let one = collect_on(&pool, vec![5u32], |_, x| {
             assert_eq!(std::thread::current().id(), caller);
             x + 1
         });
@@ -772,7 +747,7 @@ mod tests {
         // thread is always free to claim the second cell.
         let pool = Pool::new(3);
         let barrier = Barrier::new(2);
-        let ids = pool.map(vec![0, 1], |_, _| {
+        let ids = collect_on(&pool, vec![0, 1], |_, _| {
             barrier.wait();
             std::thread::current().id()
         });
@@ -785,7 +760,7 @@ mod tests {
         // pick up the remaining cells itself for the batch to finish.
         let pool = Pool::new(2);
         let gate = Barrier::new(2);
-        let out = pool.map(vec![0usize, 1, 2, 3], |_, i| {
+        let out = collect_on(&pool, vec![0usize, 1, 2, 3], |_, i| {
             if i == 0 {
                 gate.wait();
             }
@@ -798,13 +773,14 @@ mod tests {
     }
 
     #[test]
-    fn nested_maps_complete_and_preserve_order() {
+    fn nested_folds_complete_and_preserve_order() {
         let pool = Pool::new(3);
-        let got = pool.map((0..6usize).collect(), |_, i| {
-            let inner = map_cells(4, |j| i * 10 + j);
-            inner.iter().sum::<usize>()
+        let got = collect_on(&pool, (0..6usize).collect(), |_, i| {
+            // A nested fold on a worker thread must resolve to this pool.
+            let mut sum = 0;
+            fold_cells(4, |j| i * 10 + j, |_, v| sum += v);
+            sum
         });
-        // Nested map_cells on worker threads must resolve to this pool.
         let expect: Vec<usize> = (0..6).map(|i| 4 * i * 10 + 6).collect();
         assert_eq!(got, expect);
     }
@@ -813,76 +789,8 @@ mod tests {
     fn with_pool_overrides_the_global_pool() {
         let pool = Pool::new(1);
         let here = std::thread::current().id();
-        with_pool(&pool, || {
-            let ids = map_cells(8, |_| std::thread::current().id());
-            assert!(ids.iter().all(|id| *id == here), "jobs=1 must stay serial");
-        });
-    }
-
-    #[test]
-    fn cell_panic_propagates_after_the_batch_drains() {
-        let pool = Pool::new(3);
-        let completed = AtomicUsize::new(0);
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            pool.map((0..16usize).collect(), |_, i| {
-                if i == 5 {
-                    panic!("cell 5 exploded");
-                }
-                completed.fetch_add(1, Ordering::Relaxed);
-                i
-            })
-        }));
-        assert!(result.is_err());
-        let payload = *result.unwrap_err().downcast::<&str>().unwrap();
-        assert_eq!(payload, "cell 5 exploded");
-        // Every non-panicking cell still ran (the batch fully drained
-        // before the panic resurfaced), so the pool is reusable.
-        assert_eq!(completed.load(Ordering::Relaxed), 15);
-        let again = pool.map(vec![1u8, 2, 3], |_, x| x * 2);
-        assert_eq!(again, vec![2, 4, 6]);
-    }
-
-    #[test]
-    fn metrics_account_worker_cells() {
-        let pool = Pool::new(4);
-        let before = pool.metrics();
-        assert_eq!(before.jobs, 4);
-        let gate = Barrier::new(2);
-        // The first two cells rendezvous, so at least one runs on a
-        // worker (the submitter cannot satisfy both sides).
-        let _ = pool.map((0..64usize).collect(), |_, i| {
-            if i < 2 {
-                gate.wait();
-            }
-            i
-        });
-        let after = pool.metrics();
-        let worker_cells: u64 = after.cells_executed.iter().sum();
-        assert!(worker_cells >= 1, "workers executed nothing");
-        assert_eq!(after.busy_secs.len(), 3);
-        let busy = after.since(&before);
-        assert!(busy.iter().all(|b| (0.0..=1.0).contains(b)));
-    }
-
-    #[test]
-    fn map_fold_delivers_in_index_order_for_every_job_count() {
-        let expect: Vec<u64> = (0..257u64).map(|x| x * 3 + 1).collect();
-        for jobs in [1, 2, 3, 8] {
-            let pool = Pool::new(jobs);
-            let mut seen = Vec::new();
-            pool.map_fold(
-                (0..257u64).collect(),
-                |_, x| x * 3 + 1,
-                |i, v| {
-                    seen.push((i, v));
-                },
-            );
-            assert_eq!(seen.len(), 257, "jobs = {jobs}");
-            for (k, (i, v)) in seen.iter().enumerate() {
-                assert_eq!(*i, k, "jobs = {jobs}: delivery out of order");
-                assert_eq!(*v, expect[k], "jobs = {jobs}");
-            }
-        }
+        let ids = collect_on(&pool, vec![(); 8], |_, _| std::thread::current().id());
+        assert!(ids.iter().all(|id| *id == here), "jobs=1 must stay serial");
     }
 
     #[test]
@@ -898,69 +806,88 @@ mod tests {
         let started_max = AtomicUsize::new(0);
         let completed = AtomicUsize::new(0);
         let mut delivered = 0usize;
-        pool.map_fold(
-            (0..n).collect(),
-            |i, _| {
-                started_max.fetch_max(i, Ordering::SeqCst);
-                if i == 0 {
-                    while completed.load(Ordering::SeqCst) < window - 1 {
-                        std::thread::yield_now();
+        with_pool(&pool, || {
+            map_fold(
+                (0..n).collect(),
+                |i, _| {
+                    started_max.fetch_max(i, Ordering::SeqCst);
+                    if i == 0 {
+                        while completed.load(Ordering::SeqCst) < window - 1 {
+                            std::thread::yield_now();
+                        }
+                        let max = started_max.load(Ordering::SeqCst);
+                        assert!(max < window, "cell {max} started past the window");
                     }
-                    let max = started_max.load(Ordering::SeqCst);
-                    assert!(max < window, "cell {max} started past the window");
-                }
-                completed.fetch_add(1, Ordering::SeqCst);
-                i
-            },
-            |i, v| {
-                assert_eq!(i, delivered);
-                assert_eq!(v, delivered);
-                delivered += 1;
-            },
-        );
+                    completed.fetch_add(1, Ordering::SeqCst);
+                    i
+                },
+                |i, v| {
+                    assert_eq!(i, delivered);
+                    assert_eq!(v, delivered);
+                    delivered += 1;
+                },
+            )
+        });
         assert_eq!(delivered, n);
     }
 
     #[test]
-    fn fold_cell_panic_propagates_after_the_batch_drains() {
+    fn cell_panic_propagates_after_the_batch_drains() {
         let pool = Pool::new(3);
         let completed = AtomicUsize::new(0);
         let delivered = Mutex::new(Vec::new());
         let result = catch_unwind(AssertUnwindSafe(|| {
-            pool.map_fold(
-                (0..16usize).collect(),
-                |_, i| {
-                    if i == 5 {
-                        panic!("fold cell 5 exploded");
-                    }
-                    completed.fetch_add(1, Ordering::Relaxed);
-                    i
-                },
-                |i, _| delivered.lock().unwrap().push(i),
-            )
+            with_pool(&pool, || {
+                map_fold(
+                    (0..16usize).collect(),
+                    |_, i| {
+                        if i == 5 {
+                            panic!("cell 5 exploded");
+                        }
+                        completed.fetch_add(1, Ordering::Relaxed);
+                        i
+                    },
+                    |i, _| delivered.lock().unwrap().push(i),
+                )
+            })
         }));
         assert!(result.is_err());
         let payload = *result.unwrap_err().downcast::<&str>().unwrap();
-        assert_eq!(payload, "fold cell 5 exploded");
+        assert_eq!(payload, "cell 5 exploded");
         // Every non-panicking cell ran and was delivered in order (the
-        // placeholder lets the head advance past the panicked cell).
+        // placeholder lets the head advance past the panicked cell): the
+        // batch fully drained before the panic resurfaced.
         assert_eq!(completed.load(Ordering::Relaxed), 15);
         let delivered = delivered.lock().unwrap().clone();
         let expect: Vec<usize> = (0..16).filter(|i| *i != 5).collect();
         assert_eq!(delivered, expect);
-        let again = pool.map(vec![1u8, 2, 3], |_, x| x * 2);
-        assert_eq!(again, vec![2, 4, 6]);
+        // The pool is reusable.
+        assert_eq!(
+            collect_on(&pool, vec![1u8, 2, 3], |_, x| x * 2),
+            vec![2, 4, 6]
+        );
     }
 
     #[test]
-    fn fold_cells_matches_map_cells_on_the_current_pool() {
-        let pool = Pool::new(3);
-        with_pool(&pool, || {
-            let mapped = map_cells(97, |i| i * i + 7);
-            let mut folded = Vec::new();
-            fold_cells(97, |i| i * i + 7, |_, v| folded.push(v));
-            assert_eq!(folded, mapped);
+    fn metrics_account_worker_cells() {
+        let pool = Pool::new(4);
+        let before = pool.metrics();
+        assert_eq!(before.jobs, 4);
+        let gate = Barrier::new(2);
+        // The first two cells rendezvous, so at least one runs on a
+        // worker (the submitter cannot satisfy both sides).
+        let _ = collect_on(&pool, (0..64usize).collect(), |_, i| {
+            if i < 2 {
+                gate.wait();
+            }
+            i
         });
+        let after = pool.metrics();
+        let worker_cells: u64 = after.cells_executed.iter().sum();
+        assert!(worker_cells >= 1, "workers executed nothing");
+        assert_eq!(after.busy_secs.len(), 3);
+        let busy = after.since(&before);
+        assert!(busy.iter().all(|b| (0.0..=1.0).contains(b)));
     }
 
     #[test]

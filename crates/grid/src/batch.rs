@@ -49,42 +49,17 @@ impl BatchedSubmit {
     /// Wraps `inner`, grouping each home cluster's arrival stream into
     /// `batch`-op transactions with a deadline-triggered tail flush.
     fn new(inner: MultiCluster, n_clusters: usize, batch: BatchSpec) -> Self {
-        let n_jobs = inner.n_jobs();
-        let mut submit_at = vec![SimTime::ZERO; n_jobs];
-        // Jobs are generated cluster by cluster in arrival order, so one
-        // forward pass per cluster sees its stream in order.
-        let mut open: Vec<usize> = Vec::new();
-        for c in 0..n_clusters {
-            open.clear();
-            let mut oldest = SimTime::ZERO;
-            for j in (0..n_jobs).filter(|&j| inner.home(j) == c) {
-                let arr = inner.arrival(j);
-                if !open.is_empty() && arr > oldest + batch.deadline {
-                    // The open transaction timed out before this job
-                    // arrived: it flushed at its deadline.
-                    let at = oldest + batch.deadline;
-                    for &k in &open {
-                        submit_at[k] = at;
-                    }
-                    open.clear();
-                }
-                if open.is_empty() {
-                    oldest = arr;
-                }
-                open.push(j);
-                if open.len() >= batch.size as usize {
-                    // Filled: flushes the instant its last job arrives.
-                    for &k in &open {
-                        submit_at[k] = arr;
-                    }
-                    open.clear();
-                }
-            }
-            if !open.is_empty() {
-                let at = oldest + batch.deadline;
-                for &k in &open {
-                    submit_at[k] = at;
-                }
+        // Jobs are generated cluster by cluster in arrival order, so each
+        // cluster's jobs, in job order, are its arrival stream.
+        let mut streams = vec![Vec::new(); n_clusters];
+        for j in 0..inner.n_jobs() {
+            streams[inner.home(j)].push(j);
+        }
+        let mut submit_at = vec![SimTime::ZERO; inner.n_jobs()];
+        for jobs in streams {
+            let arrivals: Vec<SimTime> = jobs.iter().map(|&j| inner.arrival(j)).collect();
+            for (j, at) in jobs.into_iter().zip(flush_instants(&arrivals, batch)) {
+                submit_at[j] = at;
             }
         }
         BatchedSubmit { inner, submit_at }
@@ -192,16 +167,18 @@ impl BatchedGridSim {
     }
 }
 
-/// True arrival stream per home cluster, for tests and loadgen sanity:
-/// the flush instants a `BatchedSubmit` computes for `arrivals`.
-/// Exposed so the batching rule itself (size fill vs deadline timeout)
-/// is testable without a whole sim.
+/// The batching rule over one home cluster's arrival stream (in arrival
+/// order): the instant each job's submit transaction flushes, when its
+/// `size`-th job arrives or `deadline` after its oldest, whichever comes
+/// first. [`BatchedGridSim`] submits every job at this instant.
 pub fn flush_instants(arrivals: &[SimTime], batch: BatchSpec) -> Vec<SimTime> {
     let mut out = vec![SimTime::ZERO; arrivals.len()];
     let mut open: Vec<usize> = Vec::new();
     let mut oldest = SimTime::ZERO;
     for (j, &arr) in arrivals.iter().enumerate() {
         if !open.is_empty() && arr > oldest + batch.deadline {
+            // The open transaction timed out before this job arrived: it
+            // flushed at its deadline.
             let at = oldest + batch.deadline;
             for &k in &open {
                 out[k] = at;
@@ -213,6 +190,7 @@ pub fn flush_instants(arrivals: &[SimTime], batch: BatchSpec) -> Vec<SimTime> {
         }
         open.push(j);
         if open.len() >= batch.size as usize {
+            // Filled: flushes the instant its last job arrives.
             for &k in &open {
                 out[k] = arr;
             }
@@ -268,6 +246,42 @@ mod tests {
         // Job 0's transaction times out at 10 s; job 1 opens a fresh one
         // that also times out (end of stream).
         assert_eq!(flush, secs(&[10.0, 60.0]));
+    }
+
+    /// The simulator submits each job at the instant the batching rule
+    /// gives its home cluster's arrival stream, under both triggers.
+    #[test]
+    fn submit_instants_are_per_cluster_flush_instants() {
+        for batch in [
+            BatchSpec::of(4, Duration::from_secs(30.0)),
+            BatchSpec::of(8, Duration::from_secs(60.0)),
+        ] {
+            let mut cfg = small_config(4, Scheme::All);
+            cfg.window = Duration::from_secs(7_200.0);
+            let n = cfg.n_clusters();
+            let sim = BatchedGridSim::new(cfg, batch, SeedSequence::new(3));
+            let p = sim.driver.protocol();
+            let (mut filled, mut timed_out) = (0, 0);
+            for c in 0..n {
+                let jobs: Vec<usize> = (0..p.n_jobs()).filter(|&j| p.home(j) == c).collect();
+                let arrivals: Vec<SimTime> = jobs.iter().map(|&j| p.record_arrival(j)).collect();
+                let submits: Vec<SimTime> = jobs.iter().map(|&j| p.arrival(j)).collect();
+                assert_eq!(submits, flush_instants(&arrivals, batch), "cluster {c}");
+                filled += submits
+                    .iter()
+                    .zip(&arrivals)
+                    .filter(|(s, a)| s == a)
+                    .count();
+                timed_out += submits
+                    .iter()
+                    .filter(|s| arrivals.iter().all(|a| a != *s))
+                    .count();
+            }
+            assert!(
+                filled > 0 && timed_out > 0,
+                "{filled} filled, {timed_out} timed out"
+            );
+        }
     }
 
     /// The acceptance gate: a unit submit batch is bit-identical to the
