@@ -301,12 +301,46 @@ struct CopyState {
     phase: CopyPhase,
 }
 
-/// Mutable per-job state during the run.
+/// A [`CopyPlan`] as the plan arena stores it: the target narrowed to
+/// `u32`, so an entry takes 24 bytes instead of 32.
+#[derive(Clone, Copy, Debug)]
+struct PlanEntry {
+    target: u32,
+    nodes: u32,
+    estimate: Duration,
+    runtime: Duration,
+}
+
+impl From<CopyPlan> for PlanEntry {
+    fn from(plan: CopyPlan) -> Self {
+        PlanEntry {
+            target: u32::try_from(plan.target).expect("target index fits in u32"),
+            nodes: plan.nodes,
+            estimate: plan.estimate,
+            runtime: plan.runtime,
+        }
+    }
+}
+
+impl From<PlanEntry> for CopyPlan {
+    fn from(entry: PlanEntry) -> Self {
+        CopyPlan {
+            target: entry.target as usize,
+            nodes: entry.nodes,
+            estimate: entry.estimate,
+            runtime: entry.runtime,
+        }
+    }
+}
+
+/// Mutable per-job state, allocated by [`SimDriver::run`].
 ///
 /// Per-job collections live in the driver's flat arenas (copy plans and
 /// copy states share offsets; request ids are issued contiguously per
 /// job), so a job's state is a fixed-size record and the race/cancel/
-/// revoke path allocates nothing per copy.
+/// revoke path allocates nothing per copy. The on-start race stores a
+/// plan only for each copy it submits, so there `plan_len` is also the
+/// number of requests the job issued.
 #[derive(Clone, Copy, Debug, Default)]
 struct JobState {
     started: Option<(usize, SimTime)>,
@@ -323,8 +357,6 @@ struct JobState {
     /// First request id issued for this job (on-start races; ids are
     /// issued contiguously during the job's single submit event).
     req_first: u64,
-    /// How many requests this job issued.
-    req_count: u32,
 }
 
 /// Jobs not yet arrived, in reverse `(arrival, index)` order so the next
@@ -362,6 +394,10 @@ impl Arrivals {
 /// The shared event loop: owns the engine pump, the scheduler set, the
 /// request bookkeeping, and the [`RunResult`] accounting for every
 /// [`SubmissionProtocol`].
+///
+/// A built driver holds only its inputs; the per-job tables (states,
+/// records, requests, plans) stay empty until [`SimDriver::run`]
+/// allocates them.
 pub struct SimDriver<P: SubmissionProtocol> {
     protocol: P,
     engine: Engine<Event>,
@@ -369,7 +405,7 @@ pub struct SimDriver<P: SubmissionProtocol> {
     scheds: Box<dyn SchedulerSet>,
     /// Flat copy-plan arena; job `j`'s plans are the `plan_first ..
     /// plan_first + plan_len` slice recorded in its [`JobState`].
-    plan_arena: Vec<CopyPlan>,
+    plan_arena: Vec<PlanEntry>,
     /// Flat copy-state arena (faulty runs), sharing the plan arena's
     /// per-job offsets.
     copy_arena: Vec<CopyState>,
@@ -440,8 +476,11 @@ struct PhaseTimers {
 }
 
 impl<P: SubmissionProtocol> SimDriver<P> {
-    /// Builds the driver: sorts the jobs by arrival and (with faulty
-    /// middleware) schedules the configured outages.
+    /// Builds the driver: sorts the jobs by arrival into the arrival
+    /// lane (four bytes a job) and (with faulty middleware) schedules
+    /// the configured outages. Beyond that lane, a built driver holds
+    /// only the protocol, the schedulers and the engine: every per-job
+    /// table is allocated by [`SimDriver::run`].
     ///
     /// `rng` is handed to [`SubmissionProtocol::place_into`] untouched, so the
     /// protocol fully owns its draw sequence. `collect_predictions`
@@ -454,7 +493,6 @@ impl<P: SubmissionProtocol> SimDriver<P> {
         faults: Option<FaultModel>,
         collect_predictions: bool,
     ) -> Self {
-        let n_jobs = protocol.n_jobs();
         let n_targets = scheds.n_targets();
         let mut engine = Engine::new();
         if let Some(model) = &faults {
@@ -484,13 +522,13 @@ impl<P: SubmissionProtocol> SimDriver<P> {
             engine,
             arrivals: Arrivals::new(&protocol),
             scheds,
-            plan_arena: Vec::with_capacity(n_jobs * 2),
+            plan_arena: Vec::new(),
             copy_arena: Vec::new(),
             plan_buf: Vec::new(),
-            states: vec![JobState::default(); n_jobs],
-            reqs: Vec::with_capacity(n_jobs * 2),
+            states: Vec::new(),
+            reqs: Vec::new(),
             rng,
-            records: vec![None; n_jobs],
+            records: Vec::new(),
             scratch: Vec::new(),
             worklist: VecDeque::new(),
             collect_predictions,
@@ -506,12 +544,18 @@ impl<P: SubmissionProtocol> SimDriver<P> {
         }
     }
 
-    /// Runs the simulation to completion and returns the results.
+    /// Runs the simulation to completion and returns the results. The
+    /// job states and records are allocated here, and the request and
+    /// plan tables grow as copies are submitted: the on-start race
+    /// stores no plan for a copy it never submits.
     ///
     /// # Panics
     /// Panics if any job fails to start or complete — that would be a
     /// scheduler bug, not a valid outcome.
     pub fn run(mut self) -> RunResult {
+        let n_jobs = self.protocol.n_jobs();
+        self.states = vec![JobState::default(); n_jobs];
+        self.records = vec![None; n_jobs];
         loop {
             // With a trace attached, one event in PHASE_SAMPLE_EVERY
             // times the pop and the handler separately, splitting the
@@ -647,7 +691,7 @@ impl<P: SubmissionProtocol> SimDriver<P> {
 
     /// The plan of job `j`'s copy `copy`.
     fn plan(&self, j: usize, copy: usize) -> CopyPlan {
-        self.plan_arena[self.states[j].plan_first as usize + copy]
+        self.plan_arena[self.states[j].plan_first as usize + copy].into()
     }
 
     /// The plan of one request's copy.
@@ -685,8 +729,13 @@ impl<P: SubmissionProtocol> SimDriver<P> {
         );
         self.states[j].redundant = self.plan_buf.len() > 1;
         self.states[j].plan_first = self.plan_arena.len() as u32;
-        self.states[j].plan_len = self.plan_buf.len() as u32;
-        self.plan_arena.extend_from_slice(&self.plan_buf);
+        if self.faults.is_some() || self.cancel_on_completion {
+            // These runs submit every copy, so they keep every plan; the
+            // on-start race below stores each plan as it submits the copy.
+            self.states[j].plan_len = self.plan_buf.len() as u32;
+            self.plan_arena
+                .extend(self.plan_buf.iter().map(|&plan| PlanEntry::from(plan)));
+        }
 
         if self.faults.is_some() {
             // Unreliable middleware: every copy becomes a message. No
@@ -715,13 +764,16 @@ impl<P: SubmissionProtocol> SimDriver<P> {
         }
 
         self.states[j].req_first = self.reqs.len() as u64;
-        for copy in 0..self.states[j].plan_len as usize {
+        for copy in 0..self.plan_buf.len() {
             if self.states[j].started.is_some() {
                 // The callback already fired: the remaining copies are
                 // never submitted (they would be cancelled in the same
-                // instant with no effect on any schedule).
+                // instant with no effect on any schedule), so they get
+                // no plan entry either.
                 break;
             }
+            self.plan_arena.push(self.plan_buf[copy].into());
+            self.states[j].plan_len += 1;
             self.submit_copy(now, j, copy);
             self.commit_starts(now);
         }
@@ -743,7 +795,6 @@ impl<P: SubmissionProtocol> SimDriver<P> {
         }
         let req = Request::new(rid, plan.nodes, plan.estimate, now);
         self.result.submits += 1;
-        self.states[j].req_count += 1;
         self.scratch.clear();
         self.scheds.submit(now, plan.target, req, &mut self.scratch);
         self.worklist.extend(self.scratch.drain(..));
@@ -851,7 +902,7 @@ impl<P: SubmissionProtocol> SimDriver<P> {
             .started
             .expect("completing job must have started");
         debug_assert_eq!(target, plan.target);
-        self.record_job(now, j, plan, start, self.states[j].req_count);
+        self.record_job(now, j, plan, start, self.states[j].plan_len);
         self.release(now, plan.target, rid);
         self.commit_starts(now);
     }
@@ -875,7 +926,7 @@ impl<P: SubmissionProtocol> SimDriver<P> {
             )
         };
         self.copy_mut(j, winner).phase = CopyPhase::Dead;
-        self.record_job(now, j, plan, start, self.states[j].req_count);
+        self.record_job(now, j, plan, start, self.states[j].plan_len);
         self.release(now, plan.target, RequestId(req));
         self.note_queue(plan.target);
 
@@ -1307,7 +1358,7 @@ impl<P: SubmissionProtocol> SimDriver<P> {
             // ids are contiguous, so the sibling set is just an id range —
             // no snapshot needed (cancels never add or remove requests).
             let first = self.states[j].req_first;
-            let count = self.states[j].req_count as u64;
+            let count = self.states[j].plan_len as u64;
             for id2 in first..first + count {
                 let rid2 = RequestId(id2);
                 if rid2 == rid {

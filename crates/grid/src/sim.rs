@@ -225,7 +225,14 @@ pub struct GridSim {
 
 impl GridSim {
     /// Builds a simulation: generates every cluster's job stream from the
-    /// seed hierarchy and schedules the submission events.
+    /// seed hierarchy and sorts the jobs into the driver's arrival lane.
+    ///
+    /// A built simulation holds only its inputs: the job table, the
+    /// arrival lane (four bytes a job) and the schedulers. The per-job
+    /// run state — job states, records, request and plan tables — is
+    /// allocated by [`GridSim::run`], and the on-start race keeps a plan
+    /// only for each copy it submits, so building many cells before
+    /// running any costs little more than their job tables.
     ///
     /// Stream `seed.child(i)` drives cluster `i`'s workload;
     /// `seed.child(n_clusters)` drives redundancy coin-flips and target

@@ -107,10 +107,62 @@ impl ObsHandles {
     }
 }
 
+/// Framed responses awaiting the socket, behind a write cursor: a
+/// partial write advances the cursor instead of shifting the unwritten
+/// tail, so writing a buffer out takes time linear in its bytes.
+#[derive(Debug, Default)]
+struct WriteBuf {
+    buf: Vec<u8>,
+    /// Bytes at the front of `buf` already written.
+    written: usize,
+}
+
+impl WriteBuf {
+    /// Appends one framed response.
+    fn frame(&mut self, json: &str) {
+        encode_frame_into(&mut self.buf, json);
+    }
+
+    /// Bytes framed but not yet written.
+    fn pending(&self) -> usize {
+        self.buf.len() - self.written
+    }
+
+    /// Writes as much of the buffer as `sink` will take. Returns `false`
+    /// once the sink is closed or has failed.
+    fn write_to(&mut self, sink: &mut impl Write) -> bool {
+        while self.pending() > 0 {
+            match sink.write(&self.buf[self.written..]) {
+                Ok(0) => return false,
+                Ok(n) => self.advance(n),
+                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+                Err(_) => return false,
+            }
+        }
+        true
+    }
+
+    /// Moves the cursor past `n` written bytes. A fully written buffer is
+    /// cleared; the unwritten tail is moved to the front only once it is
+    /// shorter than what precedes it, so the bytes moved never exceed
+    /// the bytes written.
+    fn advance(&mut self, n: usize) {
+        self.written += n;
+        if self.written == self.buf.len() {
+            self.buf.clear();
+            self.written = 0;
+        } else if self.written > self.buf.len() / 2 {
+            self.buf.drain(..self.written);
+            self.written = 0;
+        }
+    }
+}
+
 struct Conn {
     stream: TcpStream,
     reader: FrameReader,
-    wbuf: Vec<u8>,
+    wbuf: WriteBuf,
     /// Scratch for the response being framed into `wbuf`.
     json: String,
     open: bool,
@@ -132,39 +184,25 @@ impl Conn {
         acks_owed.retain(|&(conn, _)| conn != ci);
         stats.abandoned_acks += (owed - acks_owed.len()) as u64;
         self.reader = FrameReader::new();
-        self.wbuf = Vec::new();
+        self.wbuf = WriteBuf::default();
         self.open = false;
         // The peer may already be gone; either way it reads EOF.
         let _ = self.stream.shutdown(Shutdown::Both);
     }
 
     fn throttled(&self) -> bool {
-        self.wbuf.len() > BACKPRESSURE_BYTES
+        self.wbuf.pending() > BACKPRESSURE_BYTES
     }
 
     fn queue(&mut self, resp: &Response) {
         self.json.clear();
         resp.write_json(&mut self.json);
-        encode_frame_into(&mut self.wbuf, &self.json);
+        self.wbuf.frame(&self.json);
     }
 
     /// Writes as much of the buffer as the socket will take.
     fn pump(&mut self) {
-        while !self.wbuf.is_empty() && self.open {
-            match self.stream.write(&self.wbuf) {
-                Ok(0) => {
-                    self.open = false;
-                }
-                Ok(n) => {
-                    self.wbuf.drain(..n);
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    self.open = false;
-                }
-            }
-        }
+        self.open = self.open && self.wbuf.write_to(&mut self.stream);
     }
 }
 
@@ -201,7 +239,7 @@ pub fn serve(listener: TcpListener, config: &ServerConfig) -> Result<ServerStats
                     conns.push(Conn {
                         stream,
                         reader: FrameReader::new(),
-                        wbuf: Vec::new(),
+                        wbuf: WriteBuf::default(),
                         json: String::new(),
                         open: true,
                     });
@@ -288,14 +326,14 @@ pub fn serve(listener: TcpListener, config: &ServerConfig) -> Result<ServerStats
                 conn.queue(&drained);
             }
             for conn in &mut conns {
-                while !conn.wbuf.is_empty() && conn.open {
+                while conn.wbuf.pending() > 0 && conn.open {
                     conn.pump();
-                    if !conn.wbuf.is_empty() {
+                    if conn.wbuf.pending() > 0 {
                         std::thread::sleep(IDLE_SLEEP);
                     }
                 }
             }
-            let lost: usize = conns.iter().map(|c| c.wbuf.len()).sum();
+            let lost: usize = conns.iter().map(|c| c.wbuf.pending()).sum();
             if let Some(report) = leak_report(&acks_owed, lost) {
                 obs.drain_leaks.add(acks_owed.len() as u64);
                 return Err(report);
@@ -620,6 +658,58 @@ mod tests {
             report,
             "drain leaked 0 unacked op(s) [none] and 33 unwritten byte(s)"
         );
+    }
+
+    /// A sink that takes 1 to 7 bytes a call and refuses every fifth.
+    #[derive(Default)]
+    struct Trickle {
+        taken: Vec<u8>,
+        calls: usize,
+    }
+
+    impl Write for Trickle {
+        fn write(&mut self, bytes: &[u8]) -> std::io::Result<usize> {
+            self.calls += 1;
+            if self.calls.is_multiple_of(5) {
+                return Err(ErrorKind::WouldBlock.into());
+            }
+            let n = bytes.len().min(1 + self.calls % 7);
+            self.taken.extend_from_slice(&bytes[..n]);
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn partial_writes_send_every_byte_once_and_in_order() {
+        let mut wbuf = WriteBuf::default();
+        let mut sink = Trickle::default();
+        let mut framed = Vec::new();
+        // Frames are queued faster than the sink takes them, so the
+        // cursor is mid-buffer whenever one is appended; the drain that
+        // follows moves it past half the buffer again and again.
+        for i in 0..300 {
+            let json = format!("{{\"seq\":{i},\"pad\":\"{}\"}}", "x".repeat(i % 23));
+            wbuf.frame(&json);
+            encode_frame_into(&mut framed, &json);
+            assert!(wbuf.write_to(&mut sink), "the sink never closes");
+            assert!(2 * wbuf.written <= wbuf.buf.len());
+        }
+        while wbuf.pending() > 0 {
+            assert!(wbuf.write_to(&mut sink));
+            assert!(2 * wbuf.written <= wbuf.buf.len());
+        }
+        assert_eq!(sink.taken, framed);
+        assert_eq!((wbuf.buf.len(), wbuf.written), (0, 0));
+
+        // A sink that takes nothing is closed: the bytes stay pending.
+        wbuf.frame("{}");
+        let mut closed: &mut [u8] = &mut [];
+        assert!(!wbuf.write_to(&mut closed));
+        assert_eq!(wbuf.pending(), 5);
     }
 
     #[test]
