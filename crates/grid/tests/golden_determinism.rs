@@ -21,6 +21,7 @@ use std::path::PathBuf;
 use rbr_grid::{GridConfig, GridSim, RunResult, Scheme};
 use rbr_sched::Algorithm;
 use rbr_simcore::{Duration, SeedSequence};
+use rbr_workload::EstimateModel;
 
 /// Exact textual form of a run: one line per job record plus a footer of
 /// run-level counters. Times are raw microseconds.
@@ -80,6 +81,19 @@ fn cbf2() -> GridConfig {
     cfg
 }
 
+/// A 3-cluster ALL run under textbook CBF (compression on every early
+/// completion and cancel) with real estimates: queues grow deep, so
+/// compressions re-reserve dozens of requests on a profile that earlier
+/// fits have already carved up.
+fn cbf_deep() -> GridConfig {
+    let mut cfg = GridConfig::homogeneous(3, Scheme::All);
+    cfg.algorithm = Algorithm::Cbf;
+    cfg.estimates = EstimateModel::paper_real();
+    cfg.cbf_cycle = Duration::ZERO;
+    cfg.window = Duration::from_secs(1_800.0);
+    cfg
+}
+
 fn golden_path(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("tests/golden")
@@ -120,6 +134,11 @@ fn faultless_all_scheme_matches_pre_refactor_golden() {
 #[test]
 fn faultless_cbf_predictions_match_pre_refactor_golden() {
     check_golden("cbf2", cbf2);
+}
+
+#[test]
+fn textbook_cbf_deep_queues_match_recorded_golden() {
+    check_golden("cbf_deep", cbf_deep);
 }
 
 /// The dual-queue protocol locked down the same way: two queues over one
