@@ -36,8 +36,8 @@ pub struct Config {
     pub estimates: Vec<EstimateModel>,
     /// Replications per cell for the cheap algorithms (EASY, FCFS).
     pub reps: usize,
-    /// Replications per cell for CBF (schedule compression is ~30×
-    /// slower, so reduced scales use fewer).
+    /// Replications per cell for CBF (a paper-scale CBF run costs 51–72×
+    /// an EASY run, see [`Scale::cbf_reps`], so reduced scales use fewer).
     pub cbf_reps: usize,
     /// Submission window.
     pub window: Duration,

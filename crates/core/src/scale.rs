@@ -47,9 +47,13 @@ impl Scale {
         }
     }
 
-    /// Replications for CBF-heavy experiments (schedule compression makes
-    /// CBF roughly 30× slower than EASY, so fewer replications keep the
-    /// harness responsive below `Paper` scale).
+    /// Replications for CBF-heavy experiments. Schedule compression makes
+    /// CBF far slower than EASY: on Table 1's paper-scale cell (N = 10,
+    /// HALF, real estimates, 6 h, 30 s cycle) one CBF run took 51× and
+    /// 72× an EASY run on the same job stream (seeds 2006's children 0
+    /// and 1, medians of three runs on one core of a two-vCPU host), so
+    /// fewer replications keep the harness responsive below `Paper`
+    /// scale.
     pub fn cbf_reps(self) -> usize {
         match self {
             Scale::Smoke => 2,

@@ -1,7 +1,8 @@
 //! The work-stealing cell pool.
 //!
-//! Campaign cells are heterogeneous — a CBF replication costs ~30× an
-//! EASY one — so static chunking (split the cell list into one contiguous
+//! Campaign cells are heterogeneous — a CBF replication of Table 1's
+//! paper-scale cell costs 51–72× an EASY one (one core of a two-vCPU
+//! host) — so static chunking (split the cell list into one contiguous
 //! block per thread) head-of-line-blocks: whichever thread drew the CBF
 //! block runs long after the rest go idle. The pool therefore *steals*:
 //!

@@ -43,6 +43,11 @@ pub struct CbfScheduler {
     /// Scheduling-cycle length; ZERO compresses on every relevant event.
     cycle: Duration,
     last_compress: SimTime,
+    /// A lower bound on the earliest reserved start in `queue`
+    /// (`SimTime::MAX` bounds an empty queue). Compression and a queued
+    /// submit set it; cancels and starts only raise the true minimum, so
+    /// they leave it alone.
+    next_due: SimTime,
     /// True when capacity was freed earlier than the profile assumed.
     dirty: bool,
     observer: ObserverSlot,
@@ -68,6 +73,7 @@ impl CbfScheduler {
             profile,
             cycle,
             last_compress: SimTime::ZERO,
+            next_due: SimTime::MAX,
             dirty: false,
             observer: ObserverSlot::empty(),
         }
@@ -115,28 +121,37 @@ impl CbfScheduler {
     /// request is handed a later slot than a newer request could claim
     /// ahead of it.
     fn compress(&mut self, now: SimTime, starts: &mut Vec<RequestId>) {
-        let mut profile = self.core.profile(now);
-        let queued = std::mem::take(&mut self.queue);
+        self.core.rebuild_profile(now, &mut self.profile);
+        let CbfScheduler {
+            core,
+            backfills,
+            queue,
+            profile,
+            observer,
+            ..
+        } = self;
         let mut skipped_earlier = false;
-        for (req, _old) in queued {
-            let start = profile.earliest_fit(now, req.estimate, req.nodes);
-            profile.reserve(start, req.estimate, req.nodes);
-            self.observer
-                .with(|s, o| o.on_reserve(s, now, req.id, start));
-            if start == now && self.core.fits_now(&req) {
+        let mut next_due = SimTime::MAX;
+        // `retain_mut` visits the queue once, in submission order, and
+        // compacts it in place.
+        queue.retain_mut(|(req, start)| {
+            *start = profile.reserve_earliest(now, req.estimate, req.nodes);
+            observer.with(|s, o| o.on_reserve(s, now, req.id, *start));
+            if *start == now && core.fits_now(req) {
                 if skipped_earlier {
-                    self.backfills += 1;
+                    *backfills += 1;
                 }
-                self.core.start(now, req);
-                self.observer
-                    .with(|s, o| o.on_start(s, now, &req, StartKind::Reservation));
+                core.start(now, *req);
+                observer.with(|s, o| o.on_start(s, now, req, StartKind::Reservation));
                 starts.push(req.id);
+                false
             } else {
                 skipped_earlier = true;
-                self.queue.push((req, start));
+                next_due = next_due.min(*start);
+                true
             }
-        }
-        self.profile = profile;
+        });
+        self.next_due = next_due;
         self.last_compress = now;
         self.dirty = false;
     }
@@ -150,8 +165,18 @@ impl CbfScheduler {
         // no event at that instant) must not start late against the stale
         // profile: it would occupy nodes beyond its profiled window and a
         // later reservation could be placed on top of its tail. Rebuild
-        // instead; compression re-anchors everything at `now`.
-        let overdue = self.queue.iter().any(|&(_, start)| start < now);
+        // instead; compression re-anchors everything at `now`. Only a
+        // watermark in the past can hide an overdue reservation, and the
+        // scan that looks for one makes the watermark exact.
+        if self.next_due < now {
+            self.next_due = self
+                .queue
+                .iter()
+                .map(|&(_, start)| start)
+                .min()
+                .unwrap_or(SimTime::MAX);
+        }
+        let overdue = self.next_due < now;
         let must_compress = overdue
             || (self.dirty
                 && (now.since(self.last_compress) >= self.cycle
@@ -160,7 +185,7 @@ impl CbfScheduler {
                     || self.core.running_len() == 0));
         if must_compress {
             self.compress(now, starts);
-        } else {
+        } else if self.next_due <= now {
             self.start_due(now, starts);
         }
     }
@@ -199,8 +224,7 @@ impl Scheduler for CbfScheduler {
         // then reserves against the freshest view.
         self.pass(now, starts);
         self.observer.with(|s, o| o.on_submit(s, now, 0, &req));
-        let start = self.profile.earliest_fit(now, req.estimate, req.nodes);
-        self.profile.reserve(start, req.estimate, req.nodes);
+        let start = self.profile.reserve_earliest(now, req.estimate, req.nodes);
         self.observer
             .with(|s, o| o.on_reserve(s, now, req.id, start));
         if start == now && self.core.fits_now(&req) {
@@ -209,6 +233,7 @@ impl Scheduler for CbfScheduler {
                 .with(|s, o| o.on_start(s, now, &req, StartKind::Reservation));
             starts.push(req.id);
         } else {
+            self.next_due = self.next_due.min(start);
             self.queue.push((req, start));
         }
     }
@@ -243,8 +268,12 @@ impl Scheduler for CbfScheduler {
         if self.core.is_running(id) {
             return Some(now);
         }
+        // The driver asks about the request it has just queued, the last
+        // entry; ids are unique, so searching from the back finds the
+        // same entry sooner.
         self.queue
             .iter()
+            .rev()
             .find(|(r, _)| r.id == id)
             .map(|&(_, start)| start)
     }
@@ -520,6 +549,25 @@ mod tests {
         s.submit(t(500.0), req(13, 10, 50.0), &mut starts);
         assert!(starts.is_empty(), "must not overlap B's tail");
         assert_eq!(s.predicted_start(t(500.0), RequestId(13)), Some(t(510.0)));
+    }
+
+    /// A cancel leaves the due watermark alone: cancelling a later
+    /// reservation at the instant an earlier one comes due must not hide
+    /// the due one from the completion that frees its nodes.
+    #[test]
+    fn cancel_at_a_due_instant_keeps_the_due_start() {
+        let mut s = CbfScheduler::with_cycle(8, Duration::from_hours(1));
+        let mut starts = Vec::new();
+        s.submit(t(0.0), req(1, 4, 1000.0), &mut starts); // runs to 1000
+        s.submit(t(0.0), req(2, 4, 100.0), &mut starts); // runs to 100
+        s.submit(t(0.0), req(3, 4, 10.0), &mut starts); // reserved at 100
+        s.submit(t(0.0), req(4, 4, 10.0), &mut starts); // reserved at 110
+        assert_eq!(s.predicted_start(t(0.0), RequestId(4)), Some(t(110.0)));
+        starts.clear();
+        assert!(s.cancel(t(100.0), RequestId(4), &mut starts));
+        assert!(starts.is_empty(), "request 2 still holds the nodes");
+        s.complete(t(100.0), RequestId(2), &mut starts);
+        assert_eq!(starts, vec![RequestId(3)]);
     }
 
     #[test]

@@ -139,28 +139,37 @@ impl ClusterCore {
     /// Builds the availability profile implied by the running set: the
     /// currently free nodes now, plus each allocation's nodes released at
     /// its requested end.
+    pub fn profile(&self, now: SimTime) -> Profile {
+        let mut profile = Profile::new(now, self.total, self.free);
+        self.rebuild_profile(now, &mut profile);
+        profile
+    }
+
+    /// [`ClusterCore::profile`] in place: rebuilds `profile` into its
+    /// existing step buffer and drops its fit floors.
     ///
     /// Because the release times are already kept sorted, the whole step
     /// list is produced in one pass — no per-allocation insertion into the
     /// profile. Releases are commutative additions, so the result equals
     /// the old build that replayed the running set in hash order.
-    pub fn profile(&self, now: SimTime) -> Profile {
-        let mut steps = Vec::with_capacity(self.ends.len() + 1);
-        let mut level = self.free;
-        steps.push((now, level));
-        for &(end, nodes) in &self.ends {
-            // Allocations whose requested end has passed (jobs running
-            // into their last instants at exactly `now`) release "now".
-            let release = end.max(now);
-            level += nodes;
-            let last = steps.last_mut().expect("steps never empty");
-            if last.0 == release {
-                last.1 = level;
-            } else {
-                steps.push((release, level));
+    pub fn rebuild_profile(&self, now: SimTime, profile: &mut Profile) {
+        profile.rebuild(self.total, |steps| {
+            steps.reserve(self.ends.len() + 1);
+            let mut level = self.free;
+            steps.push((now, level));
+            for &(end, nodes) in &self.ends {
+                // Allocations whose requested end has passed (jobs running
+                // into their last instants at exactly `now`) release "now".
+                let release = end.max(now);
+                level += nodes;
+                let last = steps.last_mut().expect("steps never empty");
+                if last.0 == release {
+                    last.1 = level;
+                } else {
+                    steps.push((release, level));
+                }
             }
-        }
-        Profile::from_sorted_steps(steps, self.total)
+        });
     }
 
     /// The EASY shadow computation: given the head request that cannot

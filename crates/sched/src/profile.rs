@@ -6,16 +6,42 @@
 //! The profile is the shared data structure: a sorted step list
 //! `(time, free)` where entry `i` holds from `steps[i].0` until
 //! `steps[i+1].0`, and the final entry extends to infinity.
+//!
+//! CBF places a whole queue of reservations on one profile, fit after fit,
+//! through [`Profile::reserve_earliest`]. Between rebuilds such a profile
+//! only loses capacity: reservations lower levels, and only
+//! [`Profile::release_at`] raises one. So a fit that anchors at `a` rules
+//! out every instant before `a` for its width and any longer estimate, and
+//! the profile keeps those *fit floors* to start later fits of that width
+//! past what is already ruled out. The floors are a cache: they change no
+//! answer, and equality ignores them.
 
 use rbr_simcore::{Duration, SimTime};
 
 /// Piecewise-constant free-node timeline starting at some instant.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug)]
 pub struct Profile {
     /// `(start, free)` steps, strictly increasing in time; never empty.
     steps: Vec<(SimTime, u32)>,
     total: u32,
+    /// Fit floors by width: `floors[w]` holds `(estimate, anchor)` pairs,
+    /// strictly increasing in both, each recording that no instant in
+    /// `[floors_from, anchor)` has `w` nodes free for `estimate` or
+    /// longer. Empty until the first [`Profile::reserve_earliest`].
+    floors: Vec<Vec<(Duration, SimTime)>>,
+    /// The latest `not_before` a floor was recorded from.
+    floors_from: SimTime,
 }
+
+/// Profiles are equal when their step lists are: the fit floors are a
+/// cache of what the steps already imply.
+impl PartialEq for Profile {
+    fn eq(&self, other: &Self) -> bool {
+        self.total == other.total && self.steps == other.steps
+    }
+}
+
+impl Eq for Profile {}
 
 impl Profile {
     /// A profile with `free` nodes available from `now` onwards, on a
@@ -28,35 +54,45 @@ impl Profile {
         Profile {
             steps: vec![(now, free)],
             total,
+            floors: Vec::new(),
+            floors_from: now,
         }
     }
 
-    /// Builds a profile directly from a pre-sorted step list — the fast
-    /// path for [`ClusterCore::profile`](crate::core::ClusterCore), which
-    /// maintains its release times in sorted order and can therefore
+    /// Rebuilds the profile in place from a pre-sorted step list — the
+    /// fast path for
+    /// [`ClusterCore::rebuild_profile`](crate::core::ClusterCore::rebuild_profile),
+    /// which maintains its release times in sorted order and can therefore
     /// produce the whole step list in one pass instead of paying
-    /// [`Profile::release_at`]'s insert-and-raise per allocation. The
-    /// result is element-for-element identical to the incremental build.
+    /// [`Profile::release_at`]'s insert-and-raise per allocation. `fill`
+    /// pushes the steps into the emptied step buffer, whose allocation is
+    /// kept; the fit floors are dropped. The result is element-for-element
+    /// identical to the incremental build.
     ///
     /// # Panics
-    /// Panics if the list is empty or its final level exceeds `total`
+    /// Panics if `fill` pushes no step or the final level exceeds `total`
     /// (levels are non-decreasing in a release-only build, so checking
     /// the last suffices); strict time monotonicity is debug-asserted.
-    pub(crate) fn from_sorted_steps(steps: Vec<(SimTime, u32)>, total: u32) -> Self {
-        assert!(!steps.is_empty(), "a profile needs at least its origin");
+    pub(crate) fn rebuild(&mut self, total: u32, fill: impl FnOnce(&mut Vec<(SimTime, u32)>)) {
+        self.steps.clear();
+        self.clear_floors();
+        fill(&mut self.steps);
+        let &(_, last) = self
+            .steps
+            .last()
+            .expect("a profile needs at least its origin");
         assert!(
-            steps.last().expect("non-empty").1 <= total,
-            "profile overflow: {} free on a {total}-node machine",
-            steps.last().expect("non-empty").1,
+            last <= total,
+            "profile overflow: {last} free on a {total}-node machine"
         );
         debug_assert!(
-            steps
+            self.steps
                 .windows(2)
                 .all(|w| w[0].0 < w[1].0 && w[0].1 <= w[1].1),
             "release steps must be strictly increasing in time and \
              non-decreasing in level"
         );
-        Profile { steps, total }
+        self.total = total;
     }
 
     /// Machine size.
@@ -105,11 +141,13 @@ impl Profile {
     ///
     /// Used when building a profile from the running set: the origin
     /// profile starts with the machine's currently-free nodes, and each
-    /// running job adds its nodes back at its (requested) end time.
+    /// running job adds its nodes back at its (requested) end time. The
+    /// only call that raises a level, so it drops the fit floors.
     pub fn release_at(&mut self, release: SimTime, nodes: u32) {
         if nodes == 0 {
             return;
         }
+        self.clear_floors();
         let idx = self.ensure_step(release);
         for step in &mut self.steps[idx..] {
             step.1 += nodes;
@@ -132,20 +170,13 @@ impl Profile {
             return;
         }
         let end = start + dur;
-        let from = self.ensure_step(start);
-        let to = self.ensure_step(end);
-        for i in from..to {
-            assert!(
-                self.steps[i].1 >= nodes,
-                "reservation underflow at {}: {} free < {} needed \
-                 (reserving {nodes} nodes over [{start}, {end}) on {})",
-                self.steps[i].0,
-                self.steps[i].1,
-                nodes,
-                self.context()
-            );
-            self.steps[i].1 -= nodes;
+        let start = start.max(self.steps[0].0);
+        if end <= start {
+            return;
         }
+        let i = self.steps.partition_point(|&(s, _)| s <= start) - 1;
+        let j = i + self.steps[i..].partition_point(|&(s, _)| s < end);
+        self.lower(start, i, end, j, nodes);
     }
 
     /// Earliest instant `t ≥ not_before` such that `nodes` nodes are free
@@ -155,63 +186,148 @@ impl Profile {
     /// Panics if `nodes` exceeds the machine size (such a request can
     /// never be scheduled) or `not_before` precedes the profile origin.
     pub fn earliest_fit(&self, not_before: SimTime, dur: Duration, nodes: u32) -> SimTime {
+        self.check_request(not_before, dur, nodes);
+        if nodes == 0 || dur.is_zero() {
+            return not_before;
+        }
+        self.scan(not_before, dur, nodes).0
+    }
+
+    /// Reserves `nodes` nodes for `dur` at their earliest fit from
+    /// `not_before` and returns that instant: the answer of
+    /// [`Profile::earliest_fit`], leaving the step list that
+    /// [`Profile::reserve`] leaves there, in one scan.
+    ///
+    /// The scan starts at the fit floor of the longest recorded estimate
+    /// not above `dur` at this width, when that is later than
+    /// `not_before`. No instant before the floor fits (capacity has only
+    /// fallen since it was recorded, and a longer window needs no less),
+    /// and from the floor on the scan meets exactly the candidates a scan
+    /// from `not_before` would meet, so it returns the same instant.
+    ///
+    /// # Panics
+    /// As [`Profile::earliest_fit`].
+    pub fn reserve_earliest(&mut self, not_before: SimTime, dur: Duration, nodes: u32) -> SimTime {
+        self.check_request(not_before, dur, nodes);
+        if nodes == 0 || dur.is_zero() {
+            return not_before;
+        }
+        // Each floor holds from the `not_before` it was found from on; a
+        // fit asked from earlier cannot use them.
+        if not_before < self.floors_from {
+            self.clear_floors();
+        }
+        self.floors_from = not_before;
+        let w = nodes as usize;
+        if self.floors.len() <= w {
+            self.floors.resize_with(w + 1, Vec::new);
+        }
+        let stair = &self.floors[w];
+        let slot = stair.partition_point(|&(d, _)| d <= dur);
+        let from = slot
+            .checked_sub(1)
+            .map_or(not_before, |k| stair[k].1.max(not_before));
+        let (anchor, i, j) = self.scan(from, dur, nodes);
+        debug_assert_eq!(
+            anchor,
+            self.earliest_fit(not_before, dur, nodes),
+            "fit of {nodes} nodes for {dur} from floor {from} diverged from \
+             the scan from {not_before}"
+        );
+        raise_floor(&mut self.floors[w], slot, dur, anchor);
+        self.lower(anchor, i, anchor + dur, j, nodes);
+        anchor
+    }
+
+    /// The checks every fit makes before scanning.
+    fn check_request(&self, not_before: SimTime, dur: Duration, nodes: u32) {
         assert!(
             nodes <= self.total,
             "request for {nodes} nodes on a {}-node machine \
-             (earliest_fit from {not_before} for {dur}; {})",
+             (fit from {not_before} for {dur}; {})",
             self.total,
             self.context()
         );
         assert!(
             not_before >= self.steps[0].0,
-            "earliest_fit from {not_before} precedes profile origin {} \
+            "fit from {not_before} precedes profile origin {} \
              (request: {nodes} nodes for {dur}; {})",
             self.steps[0].0,
             self.context()
         );
-        if nodes == 0 || dur.is_zero() {
-            return not_before;
-        }
-        // Candidate anchors are `not_before` and every later step start.
-        let mut anchor = not_before;
-        let mut i = self.steps.partition_point(|&(s, _)| s <= anchor) - 1;
+    }
+
+    /// The earliest instant `t ≥ from` with `nodes` nodes free throughout
+    /// `[t, t + dur)`, with the index of the step holding `t` and the
+    /// index of the first step at or after `t + dur` (`steps.len()` if
+    /// none). Candidate anchors are `from` and every later step start.
+    fn scan(&self, from: SimTime, dur: Duration, nodes: u32) -> (SimTime, usize, usize) {
+        let steps = &self.steps;
+        let mut anchor = from;
+        let mut i = if from > steps[0].0 {
+            steps.partition_point(|&(s, _)| s <= from) - 1
+        } else {
+            0
+        };
         'outer: loop {
             // Check [anchor, anchor + dur) starting from step i.
             let end = anchor.saturating_add(dur);
             let mut j = i;
-            while j < self.steps.len() && self.steps[j].0 < end {
-                if self.steps[j].1 < nodes {
+            while j < steps.len() && steps[j].0 < end {
+                if steps[j].1 < nodes {
                     // Conflict: next candidate anchor is the first step
-                    // after the conflict with enough free nodes.
-                    let mut k = j + 1;
-                    while k < self.steps.len() && self.steps[k].1 < nodes {
-                        k += 1;
-                    }
-                    if k == self.steps.len() {
-                        // Beyond the last step everything stays at the
-                        // final level, which must be insufficient — but
-                        // the final level always has every allocation
-                        // released, so this cannot happen unless the
-                        // caller built a profile that never frees nodes.
-                        let (t, f) = *self.steps.last().expect("profile never empty");
-                        assert!(
-                            f >= nodes,
+                    // after the conflict with enough free nodes. The
+                    // final level has every allocation released, so one
+                    // exists unless the caller built a profile that
+                    // never frees nodes.
+                    let Some(k) = steps[j + 1..].iter().position(|&(_, f)| f >= nodes) else {
+                        let &(_, f) = steps.last().expect("profile never empty");
+                        panic!(
                             "profile tail has {f} free nodes forever; request for \
-                             {nodes} nodes for {dur} from {not_before} can never fit ({})",
+                             {nodes} nodes for {dur} from {from} can never fit ({})",
                             self.context()
                         );
-                        anchor = t;
-                        i = self.steps.len() - 1;
-                        continue 'outer;
-                    }
-                    anchor = self.steps[k].0;
-                    i = k;
+                    };
+                    i = j + 1 + k;
+                    anchor = steps[i].0;
                     continue 'outer;
                 }
                 j += 1;
             }
-            return anchor;
+            return (anchor, i, j);
         }
+    }
+
+    /// Lowers `[start, end)` by `nodes`, where step `i` holds `start` and
+    /// step `j` is the first at or after `end` (`steps.len()` if none):
+    /// splits the two boundary steps, then lowers the window in place.
+    ///
+    /// # Panics
+    /// Panics if some step in the window has fewer than `nodes` free.
+    fn lower(&mut self, start: SimTime, mut i: usize, end: SimTime, mut j: usize, nodes: u32) {
+        if self.steps.get(j).is_none_or(|&(s, _)| s > end) {
+            self.steps.insert(j, (end, self.steps[j - 1].1));
+        }
+        if self.steps[i].0 < start {
+            self.steps.insert(i + 1, (start, self.steps[i].1));
+            i += 1;
+            j += 1;
+        }
+        for k in i..j {
+            let (at, free) = self.steps[k];
+            assert!(
+                free >= nodes,
+                "reservation underflow at {at}: {free} free < {nodes} needed \
+                 (reserving {nodes} nodes over [{start}, {end}) on {})",
+                self.context()
+            );
+            self.steps[k].1 = free - nodes;
+        }
+    }
+
+    /// Drops every fit floor, keeping the per-width buffers.
+    fn clear_floors(&mut self) {
+        self.floors.iter_mut().for_each(Vec::clear);
     }
 
     /// Ensures a step boundary exists exactly at `t` and returns its
@@ -228,6 +344,30 @@ impl Profile {
         self.steps.insert(i, (t, level));
         i
     }
+}
+
+/// Records in one width's staircase that no instant before `anchor` fits
+/// `dur` or longer. `slot` is where `dur` sorts in the staircase; the floor
+/// just below it, if any, is the one the fit started from, so its anchor is
+/// no later than `anchor`. Longer estimates whose anchors are no later are
+/// then dominated and dropped, which keeps anchors strictly increasing.
+fn raise_floor(stair: &mut Vec<(Duration, SimTime)>, slot: usize, dur: Duration, anchor: SimTime) {
+    let next = match slot.checked_sub(1) {
+        Some(k) if stair[k].1 == anchor => return,
+        Some(k) if stair[k].0 == dur => {
+            stair[k].1 = anchor;
+            slot
+        }
+        _ => {
+            stair.insert(slot, (dur, anchor));
+            slot + 1
+        }
+    };
+    let stale = stair[next..]
+        .iter()
+        .take_while(|&&(_, a)| a <= anchor)
+        .count();
+    stair.drain(next..next + stale);
 }
 
 #[cfg(test)]
@@ -365,6 +505,32 @@ mod tests {
         assert!(msg.contains("precedes profile origin"), "{msg}");
         assert!(msg.contains("origin 5.000s"), "{msg}");
         assert!(msg.contains("2 steps"), "{msg}");
+    }
+
+    /// A level raise drops the fit floors: once capacity is released
+    /// before a floor, a fit of the floored width and estimate finds the
+    /// earlier slot.
+    #[test]
+    fn release_clears_fit_floors() {
+        // 4 of 8 nodes come free at 100; the other 4 never do.
+        let mut p = Profile::new(t(0.0), 8, 0);
+        p.release_at(t(100.0), 4);
+        assert_eq!(p.reserve_earliest(t(0.0), d(10.0), 2), t(100.0));
+        // Two nodes come free at 20: a fit no longer waits for 100.
+        p.release_at(t(20.0), 2);
+        assert_eq!(p.reserve_earliest(t(0.0), d(10.0), 2), t(20.0));
+        assert_eq!(p.free_at(t(20.0)), 0);
+        assert_eq!(p.free_at(t(30.0)), 2);
+    }
+
+    /// A fit asked from before the instant earlier floors were found from
+    /// cannot use them.
+    #[test]
+    fn floors_hold_only_from_where_they_were_found() {
+        let mut p = Profile::new(t(0.0), 4, 4);
+        p.reserve(t(50.0), d(50.0), 4); // busy [50,100)
+        assert_eq!(p.reserve_earliest(t(60.0), d(10.0), 1), t(100.0));
+        assert_eq!(p.reserve_earliest(t(0.0), d(10.0), 1), t(0.0));
     }
 
     #[test]

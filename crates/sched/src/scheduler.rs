@@ -129,11 +129,10 @@ pub(crate) fn fifo_predicted_start<'a>(
 ) -> Option<SimTime> {
     let mut profile: Profile = core.profile(now);
     for req in queue {
-        let start = profile.earliest_fit(now, req.estimate, req.nodes);
+        let start = profile.reserve_earliest(now, req.estimate, req.nodes);
         if req.id == id {
             return Some(start);
         }
-        profile.reserve(start, req.estimate, req.nodes);
     }
     None
 }

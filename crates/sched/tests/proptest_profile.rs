@@ -1,6 +1,7 @@
 //! Property tests for the availability profile: `earliest_fit` always
-//! returns a feasible slot, and reservations never drive capacity
-//! negative or above the machine size.
+//! returns a feasible slot, reservations never drive capacity negative or
+//! above the machine size, and the fused `reserve_earliest` is exactly
+//! `earliest_fit` followed by `reserve`.
 
 use proptest::prelude::*;
 use rbr_sched::Profile;
@@ -82,5 +83,57 @@ proptest! {
         let longer = p.earliest_fit(SimTime::ZERO, dur + Duration::from_micros(1), nodes);
         prop_assert!(wider >= small);
         prop_assert!(longer >= small);
+    }
+
+    /// Over a random sequence of fits on one profile, so that the fit
+    /// floors earlier fits recorded are in place, `reserve_earliest`
+    /// returns `earliest_fit`'s instant and leaves the step list that
+    /// `reserve` leaves there. Narrow widths and a few estimates make
+    /// floors hit often; `not_before` mostly advances like a clock but
+    /// sometimes steps back, and releases now and then raise a level.
+    #[test]
+    fn reserve_earliest_is_fit_then_reserve(
+        total in 1u32..64,
+        running in prop::collection::vec((1u32..16, 1u64..200_000), 0..20),
+        fits in prop::collection::vec((1u32..9, 1u64..12, 0u64..20_000, 0u32..16), 1..120),
+    ) {
+        let mut busy = 0;
+        let mut releases = Vec::new();
+        for (nodes, at) in running {
+            let nodes = nodes.min(total - busy);
+            busy += nodes;
+            releases.push((SimTime::from_micros(at), nodes));
+        }
+        let mut fused = Profile::new(SimTime::ZERO, total, total - busy);
+        for (at, nodes) in releases {
+            fused.release_at(at, nodes);
+        }
+        let mut plain = fused.clone();
+        let mut not_before = SimTime::ZERO;
+        for (nodes, units, dt, roll) in fits {
+            let nodes = nodes.min(total);
+            let dur = Duration::from_micros(units * 10_000);
+            not_before = match roll {
+                0 => SimTime::from_micros(dt),
+                _ => not_before + Duration::from_micros(dt),
+            };
+            if roll == 1 {
+                // Release up to the headroom left above the later steps.
+                let headroom = fused
+                    .steps()
+                    .iter()
+                    .filter(|&&(at, _)| at >= not_before)
+                    .map(|&(_, free)| total - free)
+                    .chain([total - fused.free_at(not_before)])
+                    .min()
+                    .unwrap_or(0);
+                fused.release_at(not_before, headroom.min(nodes));
+                plain.release_at(not_before, headroom.min(nodes));
+            }
+            let want = plain.earliest_fit(not_before, dur, nodes);
+            plain.reserve(want, dur, nodes);
+            prop_assert_eq!(fused.reserve_earliest(not_before, dur, nodes), want);
+            prop_assert_eq!(fused.steps(), plain.steps());
+        }
     }
 }
