@@ -27,6 +27,7 @@
 use rbr_forecast::QuantilePredictor;
 use rbr_middleware::{BatchedTransaction, SystemCapacity};
 
+use crate::decimal::{write_fixed, write_u64};
 use crate::wire::Verdict;
 
 /// Tuning knobs for the controller.
@@ -79,22 +80,31 @@ pub struct Decision {
 }
 
 impl Decision {
-    /// The canonical log line. Fixed-precision formatting keeps the
-    /// line byte-stable for CI's `diff` gate.
+    /// The canonical log line,
+    /// `job={id} r={r} verdict={v} load={:.4} wait={:.3} bound={:.3 or -}`.
+    /// Fixed-precision formatting keeps the line byte-stable for CI's
+    /// `diff` gate.
     pub fn log_line(&self) -> String {
-        let bound = match self.bound_secs {
-            None => "-".to_string(),
-            Some(b) => format!("{b:.3}"),
-        };
-        format!(
-            "job={} r={} verdict={} load={:.4} wait={:.3} bound={}",
-            self.id,
-            self.redundancy,
-            self.verdict.as_str(),
-            self.load,
-            self.wait_est_secs,
-            bound
-        )
+        // What `format!` reserves for this template (twice its 35
+        // literal bytes): lines built at another capacity change the
+        // heap the admission log holds.
+        let mut line = String::with_capacity(70);
+        line.push_str("job=");
+        write_u64(&mut line, self.id);
+        line.push_str(" r=");
+        write_u64(&mut line, self.redundancy.into());
+        line.push_str(" verdict=");
+        line.push_str(self.verdict.as_str());
+        line.push_str(" load=");
+        write_fixed::<4>(&mut line, self.load);
+        line.push_str(" wait=");
+        write_fixed::<3>(&mut line, self.wait_est_secs);
+        line.push_str(" bound=");
+        match self.bound_secs {
+            None => line.push('-'),
+            Some(b) => write_fixed::<3>(&mut line, b),
+        }
+        line
     }
 }
 

@@ -10,6 +10,9 @@
 //!
 //! * frames requests as length-prefixed JSON ([`wire`]), written and
 //!   read with the workspace's one codec, [`rbr_obs::json`];
+//! * writes the integers of every frame and the admission log's
+//!   fixed-precision floats with [`decimal`], byte for byte as
+//!   `core::fmt` writes them but without its per-call machinery;
 //! * coalesces admitted operations into size- or deadline-triggered
 //!   transactions ([`batcher`] — the live twin of the simulator's
 //!   `BatchedSubmit` protocol);
@@ -30,6 +33,7 @@
 pub mod admission;
 pub mod batcher;
 pub mod clock;
+pub mod decimal;
 pub mod loadgen;
 pub mod server;
 pub mod wire;

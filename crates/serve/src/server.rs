@@ -569,31 +569,18 @@ mod tests {
         }
     }
 
-    #[test]
-    fn a_bad_peer_closes_only_its_own_connection() {
-        let config = ServerConfig {
+    /// Transactions of 8 with a 30 s deadline, so acks wait in open
+    /// batches while other peers come and go.
+    fn batched() -> ServerConfig {
+        ServerConfig {
             batch: BatchSpec::of(8, rbr_simcore::Duration::from_secs(30.0)),
             ..ServerConfig::default()
-        };
-        let (addr, handle) = start(config);
+        }
+    }
 
-        // A payload that is not JSON, a length prefix past MAX_FRAME, and
-        // a valid submit (its ack still pending in the batch) followed by
-        // garbage.
-        misbehave(addr, b"5:hello\n");
-        misbehave(addr, b"99999999:");
-        let mut owed = encode_frame(
-            &Request::Submit {
-                id: 900,
-                arrival_secs: 0.0,
-                nodes: 1,
-                runtime_secs: 60.0,
-            }
-            .to_json(),
-        );
-        owed.extend_from_slice(b"3:{{{\n");
-        misbehave(addr, &owed);
-
+    /// A well-behaved client: twelve submits, every third one cancelled,
+    /// then a drain. Every op must be acked before the drain report.
+    fn drain_good_client(addr: std::net::SocketAddr) {
         let mut stream = ClientStream::connect(addr).expect("connect");
         stream
             .set_read_timeout(Some(StdDuration::from_secs(10)))
@@ -634,7 +621,41 @@ mod tests {
         acked.sort_unstable();
         expected.sort_unstable();
         assert_eq!(acked, expected, "the good client gets every ack");
+    }
 
+    /// The good client's admission log with no other peer connected.
+    fn good_client_log_alone() -> Vec<String> {
+        let (addr, handle) = start(batched());
+        drain_good_client(addr);
+        let stats = handle.join().expect("join").expect("clean drain");
+        stats.admission_log
+    }
+
+    /// A submit frame whose JSON starts with `pad` spaces.
+    fn padded_submit_frame(pad: usize) -> Vec<u8> {
+        let submit = Request::Submit {
+            id: 900,
+            arrival_secs: 0.0,
+            nodes: 1,
+            runtime_secs: 60.0,
+        };
+        encode_frame(&format!("{}{}", " ".repeat(pad), submit.to_json()))
+    }
+
+    #[test]
+    fn a_bad_peer_closes_only_its_own_connection() {
+        let (addr, handle) = start(batched());
+
+        // A payload that is not JSON, a length prefix past MAX_FRAME, and
+        // a valid submit (its ack still pending in the batch) followed by
+        // garbage.
+        misbehave(addr, b"5:hello\n");
+        misbehave(addr, b"99999999:");
+        let mut owed = padded_submit_frame(0);
+        owed.extend_from_slice(b"3:{{{\n");
+        misbehave(addr, &owed);
+
+        drain_good_client(addr);
         let stats = handle
             .join()
             .expect("join")
@@ -642,6 +663,69 @@ mod tests {
         assert_eq!(stats.protocol_errors, 3);
         assert_eq!(stats.abandoned_acks, 1, "the third peer's pending submit");
         assert_eq!(stats.submits, 13);
+    }
+
+    #[test]
+    fn a_half_open_peer_does_not_hold_up_the_drain() {
+        let (addr, handle) = start(batched());
+        // Half a frame, then EOF on the peer's write side; the peer keeps
+        // its read side open and never reads.
+        let frame = padded_submit_frame(0);
+        let mut peer = ClientStream::connect(addr).expect("connect");
+        peer.write_all(&frame[..frame.len() / 2]).expect("write");
+        peer.shutdown(Shutdown::Write).expect("half-close");
+
+        drain_good_client(addr);
+        let stats = handle
+            .join()
+            .expect("join")
+            .expect("a torn frame owes no ack");
+        assert_eq!(stats.protocol_errors, 0);
+        assert_eq!(stats.submits, 12);
+        assert_eq!(stats.admission_log, good_client_log_alone());
+        drop(peer);
+    }
+
+    #[test]
+    fn a_slow_drip_peer_does_not_hold_up_the_drain() {
+        use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+        use std::sync::Arc;
+
+        let (addr, handle) = start(batched());
+        // A byte every 3 ms of a 2 KB frame, never its last byte: the
+        // frame is still arriving when the good client drains.
+        let frame = padded_submit_frame(2_000);
+        let stop = Arc::new(AtomicBool::new(false));
+        let sent = Arc::new(AtomicUsize::new(0));
+        let mut peer = ClientStream::connect(addr).expect("connect");
+        let drip = {
+            let (stop, sent) = (Arc::clone(&stop), Arc::clone(&sent));
+            std::thread::spawn(move || {
+                for &byte in &frame[..frame.len() - 1] {
+                    if stop.load(Ordering::Relaxed) || peer.write_all(&[byte]).is_err() {
+                        return;
+                    }
+                    sent.fetch_add(1, Ordering::Relaxed);
+                    std::thread::sleep(StdDuration::from_millis(3));
+                }
+            })
+        };
+        while sent.load(Ordering::Relaxed) < 8 {
+            std::thread::sleep(IDLE_SLEEP);
+        }
+
+        drain_good_client(addr);
+        let dripped = sent.load(Ordering::Relaxed);
+        stop.store(true, Ordering::Relaxed);
+        let stats = handle
+            .join()
+            .expect("join")
+            .expect("a frame still arriving owes no ack");
+        drip.join().expect("drip thread");
+        assert!(dripped < 2_000, "the drip ended before the drain");
+        assert_eq!(stats.protocol_errors, 0);
+        assert_eq!(stats.submits, 12);
+        assert_eq!(stats.admission_log, good_client_log_alone());
     }
 
     #[test]

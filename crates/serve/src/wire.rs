@@ -7,10 +7,9 @@
 //! frame boundaries; the newline keeps captures greppable and makes a
 //! torn frame detectable.
 
-use std::fmt::Write as _;
-use std::io::Write as _;
-
 use rbr_obs::json::{self, Token};
+
+use crate::decimal::{u64_digits, write_u64};
 
 /// Upper bound on a single frame payload; anything larger is a protocol
 /// error, not a buffering request.
@@ -130,14 +129,17 @@ impl Request {
             } => {
                 out.push_str("{\"arrival\":");
                 json::write_f64(out, arrival_secs, "null");
-                let _ = write!(out, ",\"id\":{id},\"nodes\":{nodes},\"runtime\":");
+                push_int(out, ",\"id\":", id);
+                push_int(out, ",\"nodes\":", nodes.into());
+                out.push_str(",\"runtime\":");
                 json::write_f64(out, runtime_secs, "null");
                 out.push_str(",\"type\":\"submit\"}");
             }
             Request::Cancel { id, arrival_secs } => {
                 out.push_str("{\"arrival\":");
                 json::write_f64(out, arrival_secs, "null");
-                let _ = write!(out, ",\"id\":{id},\"type\":\"cancel\"}}");
+                push_int(out, ",\"id\":", id);
+                out.push_str(",\"type\":\"cancel\"}");
             }
             Request::Drain => out.push_str("{\"type\":\"drain\"}"),
         }
@@ -174,32 +176,38 @@ impl Response {
 
     /// Appends the JSON document (no framing) to `out`, keys sorted.
     pub fn write_json(&self, out: &mut String) {
-        let _ = match *self {
+        match *self {
             Response::Ack {
                 id,
                 redundancy,
                 verdict,
                 txn,
-            } => write!(
-                out,
-                "{{\"id\":{id},\"redundancy\":{redundancy},\"txn\":{txn},\
-                 \"type\":\"ack\",\"verdict\":\"{}\"}}",
-                verdict.as_str()
-            ),
+            } => {
+                push_int(out, "{\"id\":", id);
+                push_int(out, ",\"redundancy\":", redundancy.into());
+                push_int(out, ",\"txn\":", txn);
+                out.push_str(",\"type\":\"ack\",\"verdict\":\"");
+                out.push_str(verdict.as_str());
+                out.push_str("\"}");
+            }
             Response::CancelAck { id, txn } => {
-                write!(out, "{{\"id\":{id},\"txn\":{txn},\"type\":\"cancel-ack\"}}")
+                push_int(out, "{\"id\":", id);
+                push_int(out, ",\"txn\":", txn);
+                out.push_str(",\"type\":\"cancel-ack\"}");
             }
             Response::Drained {
                 submits,
                 acks,
                 transactions,
                 shed,
-            } => write!(
-                out,
-                "{{\"acks\":{acks},\"shed\":{shed},\"submits\":{submits},\
-                 \"transactions\":{transactions},\"type\":\"drained\"}}"
-            ),
-        };
+            } => {
+                push_int(out, "{\"acks\":", acks);
+                push_int(out, ",\"shed\":", shed);
+                push_int(out, ",\"submits\":", submits);
+                push_int(out, ",\"transactions\":", transactions);
+                out.push_str(",\"type\":\"drained\"}");
+            }
+        }
     }
 
     /// Parses a JSON document into a response.
@@ -243,6 +251,12 @@ impl Response {
     }
 }
 
+/// Appends `text`, then `n` in decimal.
+fn push_int(out: &mut String, text: &str, n: u64) {
+    out.push_str(text);
+    write_u64(out, n);
+}
+
 /// The field `key` read from its slot through `read` (one of
 /// [`Token`]'s `as_*` accessors); missing or mistyped is an error
 /// naming `key`.
@@ -270,7 +284,8 @@ pub fn encode_frame(json: &str) -> Vec<u8> {
 
 /// Appends a JSON document to `out` as one `<len>:<json>\n` frame.
 pub fn encode_frame_into(out: &mut Vec<u8>, json: &str) {
-    let _ = write!(out, "{}:", json.len());
+    out.extend_from_slice(u64_digits(json.len() as u64, &mut [0; 20]));
+    out.push(b':');
     out.extend_from_slice(json.as_bytes());
     out.push(b'\n');
 }
