@@ -13,14 +13,15 @@
 //!
 //! The digest serializes integer microseconds and exact counters only —
 //! no floating-point formatting is involved, so a digest match is a
-//! bit-identical run.
+//! bit-identical run. Faulty-middleware runs add a second footer line
+//! with the fault counters ([`faulty_digest`]).
 
 use std::fs;
 use std::path::PathBuf;
 
-use rbr_grid::{GridConfig, GridSim, RunResult, Scheme};
+use rbr_grid::{BatchSpec, Delay, FaultSpec, GridConfig, GridSim, Outage, RunResult, Scheme};
 use rbr_sched::Algorithm;
-use rbr_simcore::{Duration, SeedSequence};
+use rbr_simcore::{Duration, SeedSequence, SimTime};
 use rbr_workload::EstimateModel;
 
 /// Exact textual form of a run: one line per job record plus a footer of
@@ -63,6 +64,23 @@ fn digest(result: &RunResult) -> String {
     out
 }
 
+/// [`digest`] plus a second footer line of the fault counters, which
+/// faultless runs leave at zero.
+fn faulty_digest(result: &RunResult) -> String {
+    let mut out = digest(result);
+    out.push_str(&format!(
+        "zombie_starts={} lost_submits={} lost_cancels={} outage_kills={} \
+         dropped_copies={} cancel_batches={}\n",
+        result.zombie_starts,
+        result.lost_submits,
+        result.lost_cancels,
+        result.outage_kills,
+        result.dropped_copies,
+        result.cancel_batches,
+    ));
+    out
+}
+
 /// A 3-cluster ALL-scheme run under EASY: exercises redundancy, sibling
 /// cancellation, and the same-instant abort path.
 fn all3() -> GridConfig {
@@ -94,6 +112,51 @@ fn cbf_deep() -> GridConfig {
     cfg
 }
 
+/// ALL on 3 clusters behind faulty middleware, as the audited grid runs
+/// configure it: lost and delayed submits and cancels, and an outage of
+/// cluster 1 that evaporates queued copies (re-delivered at recovery)
+/// and kills running ones.
+fn faulty_all3() -> GridConfig {
+    let mut cfg = GridConfig::homogeneous(3, Scheme::All);
+    cfg.window = Duration::from_secs(1_200.0);
+    cfg.faults = FaultSpec {
+        submit_loss: 0.1,
+        cancel_loss: 0.1,
+        submit_delay: Delay::Fixed(Duration::from_secs(2.0)),
+        cancel_delay: Delay::Exp {
+            mean: Duration::from_secs(3.0),
+        },
+        outages: vec![Outage {
+            cluster: 1,
+            down: SimTime::from_secs(300.0),
+            recover: SimTime::from_secs(500.0),
+        }],
+        ..FaultSpec::default()
+    };
+    cfg
+}
+
+/// ALL on 3 clusters with the cancellation callback's ops batched four
+/// to a transaction (30 s deadline); a lost transaction orphans its
+/// whole batch. Cancels take a minute on average and cluster 0 goes
+/// down mid-run, so a cancel sent before the outage killed a winner can
+/// reach the copy that won the restarted race, which is then resubmitted.
+fn faulty_batch() -> GridConfig {
+    let mut cfg = GridConfig::homogeneous(3, Scheme::All);
+    cfg.window = Duration::from_secs(1_800.0);
+    cfg.faults.cancel_loss = 0.2;
+    cfg.faults.cancel_delay = Delay::Exp {
+        mean: Duration::from_secs(60.0),
+    };
+    cfg.faults.cancel_batch = BatchSpec::of(4, Duration::from_secs(30.0));
+    cfg.faults.outages = vec![Outage {
+        cluster: 0,
+        down: SimTime::from_secs(600.0),
+        recover: SimTime::from_secs(900.0),
+    }];
+    cfg
+}
+
 fn golden_path(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("tests/golden")
@@ -101,6 +164,14 @@ fn golden_path(name: &str) -> PathBuf {
 }
 
 fn check_golden_runs(label: &str, run_seed: impl Fn(u64) -> RunResult) {
+    check_golden_digests(label, digest, run_seed);
+}
+
+fn check_golden_digests(
+    label: &str,
+    digest: fn(&RunResult) -> String,
+    mut run_seed: impl FnMut(u64) -> RunResult,
+) {
     for seed in 0u64..4 {
         let run = run_seed(seed);
         let got = digest(&run);
@@ -115,7 +186,7 @@ fn check_golden_runs(label: &str, run_seed: impl Fn(u64) -> RunResult) {
             .unwrap_or_else(|e| panic!("missing golden {}: {e}", path.display()));
         assert_eq!(
             got, want,
-            "faultless run diverged from recorded golden ({label}, seed {seed})"
+            "run diverged from recorded golden ({label}, seed {seed})"
         );
     }
 }
@@ -139,6 +210,35 @@ fn faultless_cbf_predictions_match_pre_refactor_golden() {
 #[test]
 fn textbook_cbf_deep_queues_match_recorded_golden() {
     check_golden("cbf_deep", cbf_deep);
+}
+
+/// Faulty middleware locked down with its fault counters. Summed over
+/// seeds 0–3 the runs re-deliver copies an outage evaporated, kill
+/// running copies, lose cancels (and so start zombies), and batch
+/// cancels; these are the paths that re-submit a copy or meet a stale
+/// completion.
+#[test]
+fn faulty_middleware_matches_recorded_golden() {
+    let mut totals = RunResult::default();
+    for (label, make) in [
+        ("faulty_all3", faulty_all3 as fn() -> GridConfig),
+        ("faulty_batch", faulty_batch),
+    ] {
+        check_golden_digests(label, faulty_digest, |seed| {
+            let run = GridSim::execute(make(), SeedSequence::new(seed));
+            totals.zombie_starts += run.zombie_starts;
+            totals.lost_cancels += run.lost_cancels;
+            totals.lost_submits += run.lost_submits;
+            totals.outage_kills += run.outage_kills;
+            totals.cancel_batches += run.cancel_batches;
+            run
+        });
+    }
+    assert!(totals.outage_kills > 0, "no outage kill or re-delivery");
+    assert!(totals.zombie_starts > 0, "no zombie started");
+    assert!(totals.lost_cancels > 0, "no cancel lost");
+    assert!(totals.lost_submits > 0, "no submit lost");
+    assert!(totals.cancel_batches > 0, "no cancel batch sent");
 }
 
 /// The dual-queue protocol locked down the same way: two queues over one
