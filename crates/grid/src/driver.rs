@@ -14,6 +14,25 @@
 //!   scheduler set, the copy/request bookkeeping, the faulty-middleware
 //!   message layer, and the [`RunResult`] accounting.
 //!
+//! # Request ids and plan blocks
+//!
+//! A copy's [`RequestId`] names it: the job index in the high 32 bits,
+//! the copy index in the next 16, and the copy's submission count in the
+//! low 16. The count is above 0 only under faulty middleware, where a
+//! copy is submitted again after an outage evaporated or killed it, or
+//! after a stale cancel killed it as the winner, so ids are unique for
+//! the run. The driver decodes a started or completing request with
+//! shifts and keeps no table keyed by id.
+//!
+//! Each job's copy plans take one block of the plan arena, as many
+//! entries as it plans copies, from a free list kept per block length.
+//! The on-start race returns the block when the job completes: its
+//! siblings were cancelled or revoked when it started, so no queue,
+//! worklist or event names its copies any more. A run's plan memory
+//! therefore follows the jobs in the system, not every copy it ever
+//! submitted. Faulty and completion-race runs keep every block, because
+//! a stale event can still name a killed copy.
+//!
 //! Targets are indices into a [`SchedulerSet`]: independent clusters for
 //! the multi-cluster variant, priority queues for the dual-queue
 //! variant, the same single cluster for every shape of a moldable job.
@@ -218,12 +237,9 @@ enum Event {
     /// A job arrives (index into the job table). Delivered from the
     /// driver's [`Arrivals`], never scheduled in the engine.
     Submit(usize),
-    /// A running request finishes (dense request index; its target is
-    /// recovered from the copy plan).
-    Complete {
-        /// Dense request index.
-        req: u64,
-    },
+    /// A running request finishes (its job and copy are decoded from
+    /// the id; its target is recovered from the copy plan).
+    Complete(RequestId),
     /// Faulty middleware: a submit message reaches its scheduler.
     DeliverSubmit {
         /// Job index.
@@ -258,7 +274,7 @@ impl Event {
     fn kind(self) -> &'static str {
         match self {
             Event::Submit(_) => "submit",
-            Event::Complete { .. } => "complete",
+            Event::Complete(_) => "complete",
             Event::DeliverSubmit { .. } => "deliver-submit",
             Event::DeliverCancel { .. } => "deliver-cancel",
             Event::OutageDown { .. } => "outage-down",
@@ -267,13 +283,23 @@ impl Event {
     }
 }
 
-/// Which job (and which of its copies) a request belongs to. Packed to
-/// eight bytes — there are two of these per job per run, and the
-/// completion path reads them on every event.
-#[derive(Clone, Copy, Debug)]
-struct ReqInfo {
-    job: u32,
-    copy: u32,
+/// The request id of job `job`'s copy `copy` on its `count`-th
+/// resubmission (0 for its first submission): job, copy and count packed
+/// into 32, 16 and 16 bits.
+///
+/// # Panics
+/// Panics, naming the field, if the job index does not fit in 32 bits or
+/// the copy index in 16.
+fn request_id(job: usize, copy: usize, count: u16) -> RequestId {
+    let job = u32::try_from(job).expect("job index fits in 32 bits");
+    let copy = u16::try_from(copy).expect("copy index fits in 16 bits");
+    RequestId(u64::from(job) << 32 | u64::from(copy) << 16 | u64::from(count))
+}
+
+/// The job, copy and submission count a [`request_id`] packs.
+fn unpack(rid: RequestId) -> (usize, usize, u16) {
+    let id = rid.0;
+    ((id >> 32) as usize, (id >> 16) as u16 as usize, id as u16)
 }
 
 /// Lifecycle of one copy under faulty middleware.
@@ -294,11 +320,13 @@ enum CopyPhase {
     Dead,
 }
 
-/// One copy of a job under faulty middleware.
+/// One copy of a job under faulty middleware or in the completion race.
 #[derive(Clone, Copy, Debug)]
 struct CopyState {
-    rid: Option<RequestId>,
     phase: CopyPhase,
+    /// Times the copy was submitted to its scheduler. While it is queued
+    /// or running, it holds the request `request_id(job, copy, subs - 1)`.
+    subs: u16,
 }
 
 /// A [`CopyPlan`] as the plan arena stores it: the target narrowed to
@@ -336,11 +364,8 @@ impl From<PlanEntry> for CopyPlan {
 /// Mutable per-job state, allocated by [`SimDriver::run`].
 ///
 /// Per-job collections live in the driver's flat arenas (copy plans and
-/// copy states share offsets; request ids are issued contiguously per
-/// job), so a job's state is a fixed-size record and the race/cancel/
-/// revoke path allocates nothing per copy. The on-start race stores a
-/// plan only for each copy it submits, so there `plan_len` is also the
-/// number of requests the job issued.
+/// copy states share offsets), so a job's state is a fixed-size record
+/// and the race/cancel/revoke path allocates nothing per copy.
 #[derive(Clone, Copy, Debug, Default)]
 struct JobState {
     started: Option<(usize, SimTime)>,
@@ -349,14 +374,55 @@ struct JobState {
     done: bool,
     /// Index of the copy whose start committed the job (faulty runs).
     winner: Option<usize>,
-    /// This job's slice of the plan arena (and, in faulty runs, of the
-    /// copy-state arena — both are appended at arrival, so the offsets
-    /// coincide). Zero-length until the job arrives.
+    /// This job's block of the plan arena (and, in faulty and
+    /// completion-race runs, of the copy-state arena: both are appended
+    /// at arrival, so the offsets coincide), one entry per planned copy.
     plan_first: u32,
+    block_len: u32,
+    /// Copies submitted: in the on-start race the copies before the
+    /// first start, elsewhere every planned copy.
     plan_len: u32,
-    /// First request id issued for this job (on-start races; ids are
-    /// issued contiguously during the job's single submit event).
-    req_first: u64,
+}
+
+/// The flat copy-plan arena, carved into per-job blocks. A returned
+/// block goes on the free list for its length, and the next job that
+/// plans as many copies takes it back.
+#[derive(Default)]
+struct PlanArena {
+    entries: Vec<PlanEntry>,
+    /// First entries of the free blocks, indexed by block length.
+    free: Vec<Vec<u32>>,
+}
+
+impl PlanArena {
+    /// Stores `plans` in a free block of their length, or in a new one
+    /// at the end of the arena, and returns its first entry.
+    fn take(&mut self, plans: &[CopyPlan]) -> u32 {
+        let entries = plans.iter().map(|&plan| PlanEntry::from(plan));
+        match self.free.get_mut(plans.len()).and_then(Vec::pop) {
+            Some(first) => {
+                let block = &mut self.entries[first as usize..][..plans.len()];
+                for (slot, entry) in block.iter_mut().zip(entries) {
+                    *slot = entry;
+                }
+                first
+            }
+            None => {
+                let first = u32::try_from(self.entries.len()).expect("plan arena fits in u32");
+                self.entries.extend(entries);
+                first
+            }
+        }
+    }
+
+    /// Puts the block of `len` entries at `first` on its free list.
+    fn give_back(&mut self, first: u32, len: u32) {
+        let len = len as usize;
+        if self.free.len() <= len {
+            self.free.resize_with(len + 1, Vec::new);
+        }
+        self.free[len].push(first);
+    }
 }
 
 /// Jobs not yet arrived, in reverse `(arrival, index)` order so the next
@@ -396,24 +462,22 @@ impl Arrivals {
 /// [`SubmissionProtocol`].
 ///
 /// A built driver holds only its inputs; the per-job tables (states,
-/// records, requests, plans) stay empty until [`SimDriver::run`]
-/// allocates them.
+/// records, plans) stay empty until [`SimDriver::run`] allocates them.
 pub struct SimDriver<P: SubmissionProtocol> {
     protocol: P,
     engine: Engine<Event>,
     arrivals: Arrivals,
     scheds: Box<dyn SchedulerSet>,
-    /// Flat copy-plan arena; job `j`'s plans are the `plan_first ..
-    /// plan_first + plan_len` slice recorded in its [`JobState`].
-    plan_arena: Vec<PlanEntry>,
-    /// Flat copy-state arena (faulty runs), sharing the plan arena's
-    /// per-job offsets.
+    /// Copy-plan arena; job `j`'s plans are the block of `block_len`
+    /// entries at `plan_first` recorded in its [`JobState`].
+    plans: PlanArena,
+    /// Flat copy-state arena (faulty and completion-race runs), sharing
+    /// the plan arena's per-job offsets.
     copy_arena: Vec<CopyState>,
     /// Scratch handed to [`SubmissionProtocol::place_into`], reused
     /// across submits.
     plan_buf: Vec<CopyPlan>,
     states: Vec<JobState>,
-    reqs: Vec<ReqInfo>,
     rng: StdRng,
     result: RunResult,
     records: Vec<Option<JobRecord>>,
@@ -429,9 +493,6 @@ pub struct SimDriver<P: SubmissionProtocol> {
     /// Per-target outage horizon: target `c` is down while
     /// `now < outage_until[c]`.
     outage_until: Vec<SimTime>,
-    /// Tombstones for killed requests whose `Complete` event is still in
-    /// the engine (it has no cancellation API).
-    dead: Vec<bool>,
     /// Pending batched cancels `(job, copy)` awaiting the open
     /// transaction's flush (empty when cancel batching is disabled).
     cancel_buf: Vec<(u32, u32)>,
@@ -522,11 +583,10 @@ impl<P: SubmissionProtocol> SimDriver<P> {
             engine,
             arrivals: Arrivals::new(&protocol),
             scheds,
-            plan_arena: Vec::new(),
+            plans: PlanArena::default(),
             copy_arena: Vec::new(),
             plan_buf: Vec::new(),
             states: Vec::new(),
-            reqs: Vec::new(),
             rng,
             records: Vec::new(),
             scratch: Vec::new(),
@@ -535,7 +595,6 @@ impl<P: SubmissionProtocol> SimDriver<P> {
             cancel_on_completion: protocol.cancel_mode() == CancelMode::OnCompletion,
             faults,
             outage_until: vec![SimTime::ZERO; n_targets],
-            dead: Vec::new(),
             cancel_buf: Vec::new(),
             cancel_serial: 0,
             observer,
@@ -545,9 +604,9 @@ impl<P: SubmissionProtocol> SimDriver<P> {
     }
 
     /// Runs the simulation to completion and returns the results. The
-    /// job states and records are allocated here, and the request and
-    /// plan tables grow as copies are submitted: the on-start race
-    /// stores no plan for a copy it never submits.
+    /// job states and records are allocated here, and the plan arena
+    /// grows to the most jobs in the system at once: the on-start race
+    /// reuses a completed job's block for a later job.
     ///
     /// # Panics
     /// Panics if any job fails to start or complete — that would be a
@@ -573,7 +632,7 @@ impl<P: SubmissionProtocol> SimDriver<P> {
             }
             match event {
                 Event::Submit(j) => self.handle_submit(now, j, sampled),
-                Event::Complete { req } => self.handle_complete(now, req),
+                Event::Complete(rid) => self.handle_complete(now, rid),
                 Event::DeliverSubmit { job, copy } => self.handle_deliver_submit(now, job, copy),
                 Event::DeliverCancel { job, copy } => self.handle_deliver_cancel(now, job, copy),
                 Event::OutageDown { cluster, recover } => {
@@ -691,13 +750,7 @@ impl<P: SubmissionProtocol> SimDriver<P> {
 
     /// The plan of job `j`'s copy `copy`.
     fn plan(&self, j: usize, copy: usize) -> CopyPlan {
-        self.plan_arena[self.states[j].plan_first as usize + copy].into()
-    }
-
-    /// The plan of one request's copy.
-    fn plan_of(&self, rid: RequestId) -> CopyPlan {
-        let ReqInfo { job, copy } = self.reqs[rid.0 as usize];
-        self.plan(job as usize, copy as usize)
+        self.plans.entries[self.states[j].plan_first as usize + copy].into()
     }
 
     /// The copy state of job `j`'s copy `copy` (faulty runs).
@@ -708,6 +761,24 @@ impl<P: SubmissionProtocol> SimDriver<P> {
     /// Mutable copy state of job `j`'s copy `copy` (faulty runs).
     fn copy_mut(&mut self, j: usize, copy: usize) -> &mut CopyState {
         &mut self.copy_arena[self.states[j].plan_first as usize + copy]
+    }
+
+    /// The request job `j`'s copy `copy` holds while queued or running
+    /// (faulty and completion-race runs).
+    fn copy_rid(&self, j: usize, copy: usize) -> RequestId {
+        let subs = self.copy_state(j, copy).subs;
+        debug_assert!(subs > 0, "copy {copy} of job {j} was never submitted");
+        request_id(j, copy, subs - 1)
+    }
+
+    /// The phase of `rid`'s copy while the copy still holds `rid`, its
+    /// latest submission; `None` once it was submitted again (faulty and
+    /// completion-race runs). A `Complete` whose copy is not running
+    /// under its id is stale: the copy was killed since.
+    fn phase_under(&self, rid: RequestId) -> Option<CopyPhase> {
+        let (j, copy, count) = unpack(rid);
+        let cs = self.copy_state(j, copy);
+        (cs.subs == count + 1).then_some(cs.phase)
     }
 
     fn handle_submit(&mut self, now: SimTime, j: usize, sampled: bool) {
@@ -727,14 +798,14 @@ impl<P: SubmissionProtocol> SimDriver<P> {
             !self.plan_buf.is_empty(),
             "a job must submit at least one copy"
         );
-        self.states[j].redundant = self.plan_buf.len() > 1;
-        self.states[j].plan_first = self.plan_arena.len() as u32;
+        let planned = self.plan_buf.len() as u32;
+        self.states[j].redundant = planned > 1;
+        self.states[j].plan_first = self.plans.take(&self.plan_buf);
+        self.states[j].block_len = planned;
         if self.faults.is_some() || self.cancel_on_completion {
-            // These runs submit every copy, so they keep every plan; the
-            // on-start race below stores each plan as it submits the copy.
-            self.states[j].plan_len = self.plan_buf.len() as u32;
-            self.plan_arena
-                .extend(self.plan_buf.iter().map(|&plan| PlanEntry::from(plan)));
+            // These runs submit every copy; the on-start race below
+            // counts each copy as it submits it.
+            self.states[j].plan_len = planned;
         }
 
         if self.faults.is_some() {
@@ -753,46 +824,35 @@ impl<P: SubmissionProtocol> SimDriver<P> {
                 "copy arena must share the plan arena's offsets"
             );
             for copy in 0..self.states[j].plan_len as usize {
-                let rid = self.submit_copy(now, j, copy);
+                self.submit_copy(now, j, copy, 0);
                 self.copy_arena.push(CopyState {
-                    rid: Some(rid),
                     phase: CopyPhase::Queued,
+                    subs: 1,
                 });
             }
             self.commit_starts(now);
             return;
         }
 
-        self.states[j].req_first = self.reqs.len() as u64;
         for copy in 0..self.plan_buf.len() {
             if self.states[j].started.is_some() {
                 // The callback already fired: the remaining copies are
                 // never submitted (they would be cancelled in the same
-                // instant with no effect on any schedule), so they get
-                // no plan entry either.
+                // instant with no effect on any schedule).
                 break;
             }
-            self.plan_arena.push(self.plan_buf[copy].into());
             self.states[j].plan_len += 1;
-            self.submit_copy(now, j, copy);
+            self.submit_copy(now, j, copy, 0);
             self.commit_starts(now);
         }
     }
 
-    /// Submits job `j`'s copy `copy` to its target under the next request
-    /// id, queues the starts it triggers, and folds its wait forecast.
-    fn submit_copy(&mut self, now: SimTime, j: usize, copy: usize) -> RequestId {
+    /// Submits job `j`'s copy `copy` to its target under its `count`-th
+    /// resubmission's id, queues the starts it triggers, and folds its
+    /// wait forecast.
+    fn submit_copy(&mut self, now: SimTime, j: usize, copy: usize, count: u16) {
         let plan = self.plan(j, copy);
-        let rid = RequestId(self.reqs.len() as u64);
-        self.reqs.push(ReqInfo {
-            job: j as u32,
-            copy: copy as u32,
-        });
-        if self.faults.is_some() || self.cancel_on_completion {
-            // Only these runs kill copies whose `Complete` is queued; the
-            // on-start race never needs a tombstone.
-            self.dead.push(false);
-        }
+        let rid = request_id(j, copy, count);
         let req = Request::new(rid, plan.nodes, plan.estimate, now);
         self.result.submits += 1;
         self.scratch.clear();
@@ -800,7 +860,6 @@ impl<P: SubmissionProtocol> SimDriver<P> {
         self.worklist.extend(self.scratch.drain(..));
         self.note_prediction(now, j, plan.target, rid);
         self.note_queue(plan.target);
-        rid
     }
 
     /// Folds a just-submitted request's wait forecast into job `j`'s
@@ -844,17 +903,13 @@ impl<P: SubmissionProtocol> SimDriver<P> {
     }
 
     /// Kills job `j`'s copy `copy`, running since `start`: the cancel is
-    /// counted, its partial work is wasted, and its queued `Complete`
-    /// event is tombstoned.
+    /// counted and its partial work is wasted. Its queued `Complete`
+    /// event goes stale, as the copy no longer runs under its id.
     fn kill(&mut self, now: SimTime, j: usize, copy: usize, start: SimTime) {
         let plan = self.plan(j, copy);
-        let rid = self
-            .copy_state(j, copy)
-            .rid
-            .expect("running copy has a request id");
+        let rid = self.copy_rid(j, copy);
         self.result.cancels += 1;
         self.result.wasted_node_secs += plan.nodes as f64 * now.since(start).as_secs();
-        self.dead[rid.0 as usize] = true;
         self.copy_mut(j, copy).phase = CopyPhase::Dead;
         self.release(now, plan.target, rid);
         self.note_queue(plan.target);
@@ -885,24 +940,25 @@ impl<P: SubmissionProtocol> SimDriver<P> {
         self.records[j] = Some(rec);
     }
 
-    fn handle_complete(&mut self, now: SimTime, req: u64) {
+    fn handle_complete(&mut self, now: SimTime, rid: RequestId) {
         self.result.makespan = now;
         if self.faults.is_some() {
-            self.handle_complete_faulty(now, req);
+            self.handle_complete_faulty(now, rid);
             return;
         }
         if self.cancel_on_completion {
-            self.handle_complete_racing(now, req);
+            self.handle_complete_racing(now, rid);
             return;
         }
-        let rid = RequestId(req);
-        let j = self.reqs[req as usize].job as usize;
-        let plan = self.plan_of(rid);
-        let (target, start) = self.states[j]
-            .started
-            .expect("completing job must have started");
+        let (j, copy, _) = unpack(rid);
+        let plan = self.plan(j, copy);
+        let state = self.states[j];
+        let (target, start) = state.started.expect("completing job must have started");
         debug_assert_eq!(target, plan.target);
-        self.record_job(now, j, plan, start, self.states[j].plan_len);
+        self.record_job(now, j, plan, start, state.plan_len);
+        // The job's siblings were cancelled or revoked when it started,
+        // so nothing names its copies any more: its block is free.
+        self.plans.give_back(state.plan_first, state.block_len);
         self.release(now, plan.target, rid);
         self.commit_starts(now);
     }
@@ -910,24 +966,17 @@ impl<P: SubmissionProtocol> SimDriver<P> {
     /// Perfect middleware, [`CancelMode::OnCompletion`]: the first copy
     /// of a job to finish wins; queued losers are cancelled, running
     /// losers are killed and their partial work accounted as waste.
-    fn handle_complete_racing(&mut self, now: SimTime, req: u64) {
-        if self.dead[req as usize] {
+    fn handle_complete_racing(&mut self, now: SimTime, rid: RequestId) {
+        let Some(CopyPhase::Running { start }) = self.phase_under(rid) else {
             // A loser killed at the winner's completion; its engine
             // event is stale.
             return;
-        }
-        let ReqInfo { job, copy } = self.reqs[req as usize];
-        let (j, winner) = (job as usize, copy as usize);
-        let plan = self.plan(j, winner);
-        let CopyPhase::Running { start } = self.copy_state(j, winner).phase else {
-            unreachable!(
-                "completing copy must be running, was {:?}",
-                self.copy_state(j, winner).phase
-            )
         };
+        let (j, winner, _) = unpack(rid);
+        let plan = self.plan(j, winner);
         self.copy_mut(j, winner).phase = CopyPhase::Dead;
         self.record_job(now, j, plan, start, self.states[j].plan_len);
-        self.release(now, plan.target, RequestId(req));
+        self.release(now, plan.target, rid);
         self.note_queue(plan.target);
 
         // The completion callback: cancel every surviving loser.
@@ -938,7 +987,7 @@ impl<P: SubmissionProtocol> SimDriver<P> {
             let cs = self.copy_state(j, loser);
             match cs.phase {
                 CopyPhase::Queued => {
-                    let rid = cs.rid.expect("queued copy has a request id");
+                    let rid = self.copy_rid(j, loser);
                     // A false return means the grant raced this cancel:
                     // the copy is already in the worklist and will be
                     // revoked there (the job is done).
@@ -960,11 +1009,13 @@ impl<P: SubmissionProtocol> SimDriver<P> {
     /// the winner's completion in the same instant, which are revoked.
     fn commit_starts_racing(&mut self, now: SimTime) {
         while let Some(rid) = self.worklist.pop_front() {
-            let ReqInfo { job, copy } = self.reqs[rid.0 as usize];
-            let (j, copy) = (job as usize, copy as usize);
+            debug_assert_eq!(
+                self.phase_under(rid),
+                Some(CopyPhase::Queued),
+                "granted {rid}"
+            );
+            let (j, copy, _) = unpack(rid);
             let plan = self.plan(j, copy);
-            debug_assert!(!self.dead[rid.0 as usize], "dead request started");
-            debug_assert_eq!(self.copy_state(j, copy).phase, CopyPhase::Queued);
             if self.states[j].done {
                 // Granted in the same instant the winner completed (the
                 // cancel saw the grant already issued): revoke.
@@ -979,7 +1030,7 @@ impl<P: SubmissionProtocol> SimDriver<P> {
                 self.states[j].started = Some((plan.target, now));
             }
             self.engine
-                .schedule(now + plan.runtime, Event::Complete { req: rid.0 });
+                .schedule(now + plan.runtime, Event::Complete(rid));
             self.note_queue(plan.target);
         }
     }
@@ -1012,7 +1063,7 @@ impl<P: SubmissionProtocol> SimDriver<P> {
                     CopyPhase::Dead
                 }
             };
-            self.copy_arena.push(CopyState { rid: None, phase });
+            self.copy_arena.push(CopyState { phase, subs: 0 });
         }
     }
 
@@ -1042,10 +1093,13 @@ impl<P: SubmissionProtocol> SimDriver<P> {
             self.copy_mut(j, copy).phase = CopyPhase::Dead;
             return;
         }
-        let rid = self.submit_copy(now, j, copy);
+        let subs = self.copy_state(j, copy).subs;
+        self.submit_copy(now, j, copy, subs);
         *self.copy_mut(j, copy) = CopyState {
-            rid: Some(rid),
             phase: CopyPhase::Queued,
+            subs: subs
+                .checked_add(1)
+                .expect("copy submission count fits in 16 bits"),
         };
         self.commit_starts(now);
     }
@@ -1066,7 +1120,7 @@ impl<P: SubmissionProtocol> SimDriver<P> {
                 self.copy_mut(j, copy).phase = CopyPhase::Doomed;
             }
             CopyPhase::Queued => {
-                let rid = cs.rid.expect("queued copy has a request id");
+                let rid = self.copy_rid(j, copy);
                 self.cancel_queued(now, target, rid);
                 self.copy_mut(j, copy).phase = CopyPhase::Dead;
                 self.commit_starts(now);
@@ -1089,10 +1143,7 @@ impl<P: SubmissionProtocol> SimDriver<P> {
                         .plan_submit(now, true);
                     self.result.lost_submits += plan.lost_attempts as u64;
                     let at = plan.delivery.expect("guaranteed delivery");
-                    *self.copy_mut(j, copy) = CopyState {
-                        rid: None,
-                        phase: CopyPhase::InFlight,
-                    };
+                    self.copy_mut(j, copy).phase = CopyPhase::InFlight;
                     self.engine
                         .schedule(at, Event::DeliverSubmit { job: j, copy });
                 }
@@ -1105,20 +1156,15 @@ impl<P: SubmissionProtocol> SimDriver<P> {
     /// A running request finished under faulty middleware: the first copy
     /// of a job to finish completes the job; any later completion is a
     /// zombie whose execution was pure waste.
-    fn handle_complete_faulty(&mut self, now: SimTime, req: u64) {
-        if self.dead[req as usize] {
+    fn handle_complete_faulty(&mut self, now: SimTime, rid: RequestId) {
+        let Some(CopyPhase::Running { start }) = self.phase_under(rid) else {
             // Killed earlier (cancel or outage); stale engine event.
             return;
-        }
-        let ReqInfo { job, copy } = self.reqs[req as usize];
-        let (j, copy) = (job as usize, copy as usize);
-        let plan = self.plan(j, copy);
-        let cs = self.copy_state(j, copy);
-        let CopyPhase::Running { start } = cs.phase else {
-            unreachable!("completing copy must be running, was {:?}", cs.phase)
         };
+        let (j, copy, _) = unpack(rid);
+        let plan = self.plan(j, copy);
         self.copy_mut(j, copy).phase = CopyPhase::Dead;
-        self.release(now, plan.target, RequestId(req));
+        self.release(now, plan.target, rid);
         if self.states[j].done {
             // Zombie ran to natural completion: its whole execution is
             // wasted node-time.
@@ -1154,28 +1200,21 @@ impl<P: SubmissionProtocol> SimDriver<P> {
                         // Evaporated with the scheduler; the middleware
                         // notices at recovery and re-delivers.
                         self.result.outage_kills += 1;
-                        *self.copy_mut(j, copy) = CopyState {
-                            rid: None,
-                            phase: CopyPhase::InFlight,
-                        };
+                        self.copy_mut(j, copy).phase = CopyPhase::InFlight;
                         self.engine
                             .schedule(recover, Event::DeliverSubmit { job: j, copy });
                     }
                     CopyPhase::Running { start } => {
-                        let rid = cs.rid.expect("running copy has a request id");
+                        // Its `Complete` goes stale with the phase change.
                         self.result.outage_kills += 1;
                         self.result.wasted_node_secs +=
                             plan.nodes as f64 * now.since(start).as_secs();
-                        self.dead[rid.0 as usize] = true;
                         if self.states[j].winner == Some(copy) && !self.states[j].done {
                             // The job itself died with the cluster; the
                             // submitter resubmits this copy at recovery.
                             self.states[j].started = None;
                             self.states[j].winner = None;
-                            *self.copy_mut(j, copy) = CopyState {
-                                rid: None,
-                                phase: CopyPhase::InFlight,
-                            };
+                            self.copy_mut(j, copy).phase = CopyPhase::InFlight;
                             self.engine
                                 .schedule(recover, Event::DeliverSubmit { job: j, copy });
                         } else {
@@ -1298,14 +1337,16 @@ impl<P: SubmissionProtocol> SimDriver<P> {
     /// message like everything else).
     fn commit_starts_faulty(&mut self, now: SimTime) {
         while let Some(rid) = self.worklist.pop_front() {
-            let ReqInfo { job, copy } = self.reqs[rid.0 as usize];
-            let (j, copy) = (job as usize, copy as usize);
+            debug_assert_eq!(
+                self.phase_under(rid),
+                Some(CopyPhase::Queued),
+                "granted {rid}"
+            );
+            let (j, copy, _) = unpack(rid);
             let plan = self.plan(j, copy);
-            debug_assert!(!self.dead[rid.0 as usize], "dead request started");
-            debug_assert_eq!(self.copy_state(j, copy).phase, CopyPhase::Queued);
             self.copy_mut(j, copy).phase = CopyPhase::Running { start: now };
             self.engine
-                .schedule(now + plan.runtime, Event::Complete { req: rid.0 });
+                .schedule(now + plan.runtime, Event::Complete(rid));
             if self.cancel_on_completion {
                 // Completion race: concurrent executions are the
                 // protocol, not zombies — cancels go out when the first
@@ -1342,8 +1383,8 @@ impl<P: SubmissionProtocol> SimDriver<P> {
             return;
         }
         while let Some(rid) = self.worklist.pop_front() {
-            let j = self.reqs[rid.0 as usize].job as usize;
-            let plan = self.plan_of(rid);
+            let (j, copy, _) = unpack(rid);
+            let plan = self.plan(j, copy);
             if self.states[j].started.is_some() {
                 // Lost the same-instant race: revoke.
                 self.result.aborts += 1;
@@ -1353,18 +1394,14 @@ impl<P: SubmissionProtocol> SimDriver<P> {
             // Commit: the job starts here, now.
             self.states[j].started = Some((plan.target, now));
             self.engine
-                .schedule(now + plan.runtime, Event::Complete { req: rid.0 });
-            // The callback: cancel every sibling copy. The job's request
-            // ids are contiguous, so the sibling set is just an id range —
-            // no snapshot needed (cancels never add or remove requests).
-            let first = self.states[j].req_first;
-            let count = self.states[j].plan_len as u64;
-            for id2 in first..first + count {
-                let rid2 = RequestId(id2);
-                if rid2 == rid {
-                    continue;
+                .schedule(now + plan.runtime, Event::Complete(rid));
+            // The callback: cancel every other submitted copy, in copy
+            // order (cancels never add or remove requests).
+            for sibling in 0..self.states[j].plan_len as usize {
+                if sibling != copy {
+                    let target = self.plan(j, sibling).target;
+                    self.cancel_queued(now, target, request_id(j, sibling, 0));
                 }
-                self.cancel_queued(now, self.plan_of(rid2).target, rid2);
             }
         }
     }
@@ -1374,5 +1411,69 @@ impl<P: SubmissionProtocol> SimDriver<P> {
         if len > self.result.max_queue_len[c] {
             self.result.max_queue_len[c] = len;
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn request_ids_pack_job_copy_and_count_at_the_field_limits() {
+        let (job, copy, count) = (u32::MAX as usize, u16::MAX as usize, u16::MAX);
+        assert_eq!(request_id(job, copy, count), RequestId(u64::MAX));
+        for fields in [
+            (0, 0, 0),
+            (job, 0, 0),
+            (0, copy, 0),
+            (0, 0, count),
+            (job, copy, count),
+            (7, 3, 1),
+        ] {
+            assert_eq!(unpack(request_id(fields.0, fields.1, fields.2)), fields);
+        }
+        // Each field has its own bits: one step in any field is a new id.
+        let base = request_id(1, 1, 1);
+        for other in [
+            request_id(2, 1, 1),
+            request_id(1, 2, 1),
+            request_id(1, 1, 2),
+        ] {
+            assert_ne!(base, other);
+        }
+    }
+
+    #[cfg(target_pointer_width = "64")]
+    #[test]
+    #[should_panic(expected = "job index fits in 32 bits")]
+    fn a_job_index_past_32_bits_is_refused() {
+        request_id(u32::MAX as usize + 1, 0, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "copy index fits in 16 bits")]
+    fn a_copy_index_past_16_bits_is_refused() {
+        request_id(0, u16::MAX as usize + 1, 0);
+    }
+
+    #[test]
+    fn returned_plan_blocks_are_reused_by_length() {
+        let plan = |target| CopyPlan {
+            target,
+            nodes: 1,
+            estimate: Duration::from_secs(1.0),
+            runtime: Duration::from_secs(1.0),
+        };
+        let mut arena = PlanArena::default();
+        let a = arena.take(&[plan(0), plan(1), plan(2)]);
+        let b = arena.take(&[plan(3)]);
+        assert_eq!((a, b), (0, 3));
+        arena.give_back(a, 3);
+        // A block of another length does not fit the freed one.
+        assert_eq!(arena.take(&[plan(4), plan(5)]), 4);
+        // One of the same length takes it, with its own plans.
+        assert_eq!(arena.take(&[plan(6), plan(7), plan(8)]), a);
+        let targets: Vec<u32> = arena.entries.iter().map(|e| e.target).collect();
+        assert_eq!(targets, [6, 7, 8, 3, 4, 5]);
     }
 }

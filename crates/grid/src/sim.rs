@@ -93,15 +93,31 @@ impl MultiCluster {
 /// fields [`GridConfig::same_workload`] compares, so configurations that
 /// pass it can share one table: [`GridSim::new`] is this followed by
 /// [`GridSim::with_jobs`].
+///
+/// The table is reserved once at the clusters' summed expected job count
+/// (window ÷ mean interarrival each) plus four standard deviations of a
+/// Poisson count of that mean, which bounds the spread of any Gamma
+/// arrival stream of shape 1 or more, so it seldom grows. It is then
+/// shrunk once to its length: a built simulation holds no growth slack.
 pub fn generate_jobs(config: &GridConfig, seed: &SeedSequence) -> Vec<(JobSpec, usize)> {
-    let mut jobs: Vec<(JobSpec, usize)> = Vec::new();
+    let window = config.window.as_secs();
+    let expected: f64 = config
+        .clusters
+        .iter()
+        .map(|c| window / c.workload.mean_interarrival())
+        .sum();
+    let reserve = expected + 4.0 * expected.sqrt();
+    let mut jobs: Vec<(JobSpec, usize)> = Vec::with_capacity(reserve as usize);
     for (i, cluster) in config.clusters.iter().enumerate() {
         let model = LublinModel::new(cluster.workload);
         let mut rng = seed.child(i as u64).rng();
-        for spec in model.generate(&mut rng, config.window, &config.estimates) {
-            jobs.push((spec, i));
-        }
+        jobs.extend(
+            model
+                .stream(&mut rng, config.window, &config.estimates)
+                .map(|spec| (spec, i)),
+        );
     }
+    jobs.shrink_to_fit();
     jobs
 }
 

@@ -1,13 +1,27 @@
-//! The grid driver's memory follows what the race uses, enforced by a
-//! counting allocator: a built simulation holds only its inputs, and an
-//! on-start race keeps a plan only for each copy it submits.
+//! The grid driver's memory follows the jobs in the system, enforced by a
+//! counting allocator:
+//!
+//! * a built simulation holds only its inputs: each job's table entry and
+//!   arrival-lane slot, with no growth slack, plus a fixed allowance for
+//!   the schedulers and the engine;
+//! * a run adds a fixed amount per job (its state and its record) and,
+//!   for each plan block in the system at once, a fixed amount per
+//!   planned copy (its plan entry and its scheduler-queue slot). No term
+//!   grows with the copies a run submits: request ids name their copy,
+//!   and a completed job's plan block is reused.
+//!
+//! The first bound fails when the job table keeps its growth slack (about
+//! 61 B a job here), the others when the driver keeps a plan entry and a
+//! request entry for every submitted copy (about 920 B a job on the
+//! heavily redundant run).
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::mem::size_of;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use rbr_grid::{ClusterSpec, GridConfig, GridSim, Scheme};
+use rbr_grid::{ClusterSpec, GridConfig, GridSim, RunResult, Scheme};
 use rbr_simcore::{Duration, SeedSequence};
-use rbr_workload::LublinConfig;
+use rbr_workload::{JobSpec, LublinConfig};
 
 struct CountingAlloc;
 
@@ -42,20 +56,33 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
 
-/// Bytes a built simulation may hold per job: its job-table entry, with
-/// the table's growth slack, and its arrival-lane slot.
-const BUILT_BYTES_PER_JOB: usize = 96;
+/// Bytes a built simulation holds per job: its job-table entry and its
+/// arrival-lane slot, exactly.
+const BUILT_BYTES_PER_JOB: usize = size_of::<(JobSpec, usize)>() + size_of::<u32>();
+
+/// Bytes a built simulation may hold whatever its job count: the
+/// schedulers, the engine and the protocol's small tables.
+const BUILT_FIXED_BYTES: usize = 1024;
 
 /// Bytes a run may add per job whatever it submits: the job's state and
 /// its record.
-const RUN_BYTES_PER_JOB: usize = 256;
+const RUN_BYTES_PER_JOB: usize = 192;
 
-/// Bytes a run may add per submitted copy: its plan and request entries,
-/// with the tables' growth slack.
-const RUN_BYTES_PER_SUBMIT: usize = 64;
+/// Bytes a run may add per planned copy of each plan block in the system
+/// at once: the copy's plan entry and its slot in a scheduler queue, with
+/// both tables' growth.
+const RUN_BYTES_PER_BLOCK_COPY: usize = 80;
+
+/// Clusters of the redundant runs; under ALL each job plans a copy on
+/// every one, so each plan block has this many entries.
+const CLUSTERS: usize = 20;
 
 /// Size of one stored copy plan.
 const PLAN_BYTES: usize = 24;
+
+/// Size of one request-table entry, the per-submit table the driver no
+/// longer keeps.
+const REQUEST_ENTRY_BYTES: usize = 8;
 
 /// Live heap bytes now.
 fn live() -> usize {
@@ -72,8 +99,52 @@ fn peak_during<T>(f: impl FnOnce() -> T) -> (T, usize) {
     (value, PEAK.load(Ordering::SeqCst) - base)
 }
 
+/// The most jobs in the system at once: arrived, not yet completed. Each
+/// holds one plan block. Arrivals win same-instant ties, as in the
+/// driver, so a block is taken before a completion at that instant
+/// returns one.
+fn most_in_system(run: &RunResult) -> usize {
+    let mut edges: Vec<_> = run
+        .records
+        .iter()
+        .flat_map(|r| [(r.arrival, 1i64), (r.completion, -1)])
+        .collect();
+    edges.sort_unstable_by_key(|&(at, step)| (at, -step));
+    let (mut now, mut most) = (0i64, 0i64);
+    for (_, step) in edges {
+        now += step;
+        most = most.max(now);
+    }
+    most as usize
+}
+
+/// An ALL run on [`CLUSTERS`] 128-node clusters of `workload`, with the
+/// run's job count, peak, bound and submitted copies.
+struct Redundant {
+    jobs: usize,
+    submits: usize,
+    peak: usize,
+    bound: usize,
+}
+
+fn redundant_run(workload: LublinConfig, hours: u64) -> Redundant {
+    let mut config = GridConfig::homogeneous(CLUSTERS, Scheme::All);
+    config.clusters = vec![ClusterSpec::new(128, workload); CLUSTERS];
+    config.window = Duration::from_hours(hours);
+    let sim = GridSim::new(config, SeedSequence::new(2006));
+    let jobs = sim.n_jobs();
+    let (result, peak) = peak_during(|| sim.run());
+    let blocks = most_in_system(&result);
+    Redundant {
+        jobs,
+        submits: result.submits as usize,
+        peak,
+        bound: RUN_BYTES_PER_JOB * jobs + RUN_BYTES_PER_BLOCK_COPY * CLUSTERS * blocks,
+    }
+}
+
 #[test]
-fn a_built_sim_holds_its_inputs_and_a_run_stores_only_submitted_copies() {
+fn a_built_sim_holds_its_inputs_and_a_run_holds_the_jobs_in_the_system() {
     // A built simulation holds the job table and the arrival lane, no
     // run state. Two paper-load clusters for an hour: about 1,400 jobs.
     let mut paper = GridConfig::homogeneous(2, Scheme::All);
@@ -83,35 +154,52 @@ fn a_built_sim_holds_its_inputs_and_a_run_stores_only_submitted_copies() {
     let held = live() - before;
     let jobs = sim.n_jobs();
     assert!(
-        held <= BUILT_BYTES_PER_JOB * jobs,
+        held <= BUILT_BYTES_PER_JOB * jobs + BUILT_FIXED_BYTES,
         "a built simulation of {jobs} jobs holds {held} B, {} B a job",
         held / jobs
     );
     drop(sim);
 
-    // Light load on 20 clusters under ALL: each job plans 20 copies, but
-    // most start on their first, so few copies are submitted.
-    let mut light = GridConfig::homogeneous(20, Scheme::All);
-    let workload = LublinConfig::paper_2006().with_mean_interarrival(120.0);
-    light.clusters = vec![ClusterSpec::new(128, workload); 20];
-    light.window = Duration::from_hours(2);
-    let sim = GridSim::new(light, SeedSequence::new(2006));
-    let jobs = sim.n_jobs();
-    let (result, peak) = peak_during(|| sim.run());
-    let submits = result.submits as usize;
-    let planned = 20 * jobs;
+    // Light load: each job plans 20 copies, but most start on their
+    // first, so few copies are submitted and few jobs are in the system.
+    let light = redundant_run(LublinConfig::paper_2006().with_mean_interarrival(120.0), 2);
+    let planned = CLUSTERS * light.jobs;
     assert!(
-        10 * submits < planned,
-        "{submits} of {planned} planned copies submitted: the load is not light"
+        10 * light.submits < planned,
+        "{} of {planned} planned copies submitted: the load is not light",
+        light.submits
     );
-    let bound = RUN_BYTES_PER_JOB * jobs + RUN_BYTES_PER_SUBMIT * submits;
     assert!(
-        PLAN_BYTES * planned > bound,
+        PLAN_BYTES * planned > light.bound,
         "a plan for every planned copy must break the bound by itself"
     );
     assert!(
-        peak <= bound,
-        "a run of {jobs} jobs and {submits} submitted copies peaked at {peak} B, \
-         over its bound of {bound} B"
+        light.peak <= light.bound,
+        "a light run of {} jobs peaked at {} B, over its bound of {} B",
+        light.jobs,
+        light.peak,
+        light.bound
+    );
+
+    // Paper load: queues build up, and most jobs submit most of their
+    // copies before one starts.
+    let heavy = redundant_run(LublinConfig::paper_2006(), 1);
+    assert!(
+        heavy.submits >= 10 * heavy.jobs,
+        "{} submits for {} jobs: the run is not heavily redundant",
+        heavy.submits,
+        heavy.jobs
+    );
+    assert!(
+        heavy.peak <= heavy.bound,
+        "a paper-load run of {} jobs and {} submits peaked at {} B, over its bound of {} B",
+        heavy.jobs,
+        heavy.submits,
+        heavy.peak,
+        heavy.bound
+    );
+    assert!(
+        heavy.peak + REQUEST_ENTRY_BYTES * heavy.submits > heavy.bound,
+        "an 8-byte entry per submit must break the bound by itself"
     );
 }

@@ -11,15 +11,20 @@
 //! their handles once, up front.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations made on this thread.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        // A thread being torn down has no local slot left; none of its
+        // allocations is measured.
+        let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
         unsafe { System.alloc(layout) }
     }
 
@@ -31,12 +36,15 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
 
-/// Allocation count attributable to `f` (this binary holds exactly one
-/// test, so no other thread is allocating concurrently).
+/// Allocations `f` makes on the calling thread. Metric updates and trace
+/// emits run on the caller's thread, and the trace sink writes there too
+/// (`SINK` in `rbr_obs::trace`), so every allocation they make is
+/// counted, while another thread of the test process allocating at the
+/// same moment is not.
 fn allocs_during(f: impl FnOnce()) -> u64 {
-    let before = ALLOCS.load(Ordering::SeqCst);
+    let before = ALLOCS.with(Cell::get);
     f();
-    ALLOCS.load(Ordering::SeqCst) - before
+    ALLOCS.with(Cell::get) - before
 }
 
 #[test]

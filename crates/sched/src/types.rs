@@ -2,8 +2,15 @@
 
 use rbr_simcore::{Duration, SimTime};
 
-/// Globally unique identifier of one request (one copy of a job at one
-/// cluster — a job using `r` redundant requests owns `r` distinct ids).
+/// Identifier of one request (one copy of a job at one cluster — a job
+/// using `r` redundant requests owns `r` distinct ids).
+///
+/// Ids are unique for a run, and schedulers rely on it: EASY's resumed
+/// backfilling sweep takes an unchanged head id to mean an unchanged
+/// head. Schedulers only compare ids and look them up. The grid driver
+/// (`rbr_grid::driver`) packs the job index, the copy index and the
+/// copy's submission count into an id, in 32, 16 and 16 bits, so it
+/// decodes a started or completing request without a table.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct RequestId(pub u64);
 
