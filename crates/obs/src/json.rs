@@ -19,9 +19,12 @@
 //! refuses documents nested deeper than [`MAX_DEPTH`], so hostile input
 //! gets an `Err`, never a stack overflow. [`read_fields`] runs the same
 //! parser over a document's top-level object but keeps only the fields
-//! a caller names, borrowed from the text where they lie: the serve
-//! wire reads every message this way, allocating nothing for a
-//! canonical frame.
+//! a caller names, borrowed from the text where they lie, allocating
+//! nothing for a wire frame. Both split numbers by one grammar,
+//! [`split_number`], which the serve wire's request decoder calls too:
+//! it reads a request in the exact shape the wire writes in one pass,
+//! with no parser, and hands any other document to `read_fields`, which
+//! reads every response.
 
 use std::borrow::Cow;
 use std::collections::btree_map::{BTreeMap, Entry};
@@ -228,6 +231,46 @@ pub fn read_fields<'a, const N: usize>(
     Ok(slots)
 }
 
+/// Splits the number token at the head of `text` from the rest, by the
+/// codec's one number grammar, `-? digits (. digits)? ([eE] [+-]?
+/// digits)?`, where `digits` is one or more ASCII digits (a leading
+/// zero included). [`parse`] and [`read_fields`] read every number this
+/// way. A head that breaks the grammar is an error: the byte offset at
+/// which it broke and what was expected there.
+#[inline]
+pub fn split_number(text: &str) -> Result<(&str, &str), (usize, &'static str)> {
+    let bytes = text.as_bytes();
+    let digits = |mut at: usize| {
+        while bytes.get(at).is_some_and(u8::is_ascii_digit) {
+            at += 1;
+        }
+        at
+    };
+    let sign = usize::from(bytes.first() == Some(&b'-'));
+    let mut end = digits(sign);
+    if end == sign {
+        return Err((end, "expected digits"));
+    }
+    if bytes.get(end) == Some(&b'.') {
+        let fraction = end + 1;
+        end = digits(fraction);
+        if end == fraction {
+            return Err((end, "expected fraction digits"));
+        }
+    }
+    if matches!(bytes.get(end), Some(b'e' | b'E')) {
+        let mut exponent = end + 1;
+        if matches!(bytes.get(exponent), Some(b'+' | b'-')) {
+            exponent += 1;
+        }
+        end = digits(exponent);
+        if end == exponent {
+            return Err((end, "expected exponent digits"));
+        }
+    }
+    Ok(text.split_at(end))
+}
+
 struct Parser<'a> {
     src: &'a str,
     pos: usize,
@@ -274,14 +317,6 @@ impl<'a> Parser<'a> {
         } else {
             Err(self.err(&format!("expected {:?}", b as char)))
         }
-    }
-
-    fn digits(&mut self) -> usize {
-        let start = self.pos;
-        while self.peek().is_some_and(|c| c.is_ascii_digit()) {
-            self.pos += 1;
-        }
-        self.pos - start
     }
 
     fn value(&mut self) -> Result<Json, String> {
@@ -427,31 +462,19 @@ impl<'a> Parser<'a> {
         self.num_token().map(|token| Json::Num(token.to_string()))
     }
 
-    /// A number token: `-? digits (. digits)? ([eE] [+-]? digits)?`.
+    /// A number token, by [`split_number`]'s grammar.
     fn num_token(&mut self) -> Result<&'a str, String> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        if self.digits() == 0 {
-            return Err(self.err("expected digits"));
-        }
-        if self.peek() == Some(b'.') {
-            self.pos += 1;
-            if self.digits() == 0 {
-                return Err(self.err("expected fraction digits"));
+        let src = self.src;
+        match split_number(&src[self.pos..]) {
+            Ok((token, _)) => {
+                self.pos += token.len();
+                Ok(token)
+            }
+            Err((at, expected)) => {
+                self.pos += at;
+                Err(self.err(expected))
             }
         }
-        if matches!(self.peek(), Some(b'e' | b'E')) {
-            self.pos += 1;
-            if matches!(self.peek(), Some(b'+' | b'-')) {
-                self.pos += 1;
-            }
-            if self.digits() == 0 {
-                return Err(self.err("expected exponent digits"));
-            }
-        }
-        Ok(&self.src[start..self.pos])
     }
 
     fn string(&mut self) -> Result<String, String> {
@@ -652,6 +675,64 @@ mod tests {
             (Some(2.5), None, None)
         );
         assert_eq!((s.as_str(), n.as_str()), (Some("x"), None));
+    }
+
+    /// `split_number` takes a string whole exactly when `parse` reads it
+    /// as that number token, a token it splits off reads as itself, and
+    /// where it breaks, `parse` breaks at the same byte.
+    #[test]
+    fn the_number_grammar_is_the_parsers() {
+        let check = |text: &str| -> bool {
+            let split = split_number(text);
+            let whole = split == Ok((text, ""));
+            assert_eq!(
+                whole,
+                parse(text) == Ok(Json::Num(text.to_string())),
+                "{text:?} split as {split:?}"
+            );
+            // A number's first byte sends `parse` into the grammar.
+            let numeric = text.starts_with(|c: char| c == '-' || c.is_ascii_digit());
+            match split {
+                Ok((token, _)) => assert_eq!(parse(token), Ok(num(token)), "{text:?}"),
+                Err((at, expected)) if numeric => {
+                    assert_eq!(parse(text), Err(format!("{expected} at byte {at}")));
+                }
+                Err(_) => {}
+            }
+            whole
+        };
+        for (text, split) in [
+            ("-", Err((1, "expected digits"))),
+            ("1.", Err((2, "expected fraction digits"))),
+            (".5", Err((0, "expected digits"))),
+            ("1e", Err((2, "expected exponent digits"))),
+            ("1e+", Err((3, "expected exponent digits"))),
+            ("01", Ok(("01", ""))),
+            ("-0", Ok(("-0", ""))),
+            ("+1", Err((0, "expected digits"))),
+            ("1.e5", Err((2, "expected fraction digits"))),
+            ("-0.0E+1", Ok(("-0.0E+1", ""))),
+            ("12,\"id\"", Ok(("12", ",\"id\""))),
+            ("1e5.5", Ok(("1e5", ".5"))),
+        ] {
+            assert_eq!(split_number(text), split, "{text:?}");
+            check(text);
+        }
+        // Random strings over the fuzz suite's alphabet, half of them
+        // drawn from the bytes a number can hold.
+        const ALPHABET: &[u8] = b"{}[]\":,\\ \t\n0123456789.eE+-abtnrfulsy";
+        const NUMERIC: &[u8] = b"0123456789.eE+-";
+        let mut rng = proptest::test_runner::TestRng::for_test("the_number_grammar_is_the_parsers");
+        let mut whole = 0;
+        for i in 0..20_000 {
+            let from = if i % 2 == 0 { ALPHABET } else { NUMERIC };
+            let len = rng.below(9) as usize;
+            let bytes: Vec<u8> = (0..len)
+                .map(|_| from[rng.below(from.len() as u64) as usize])
+                .collect();
+            whole += usize::from(check(std::str::from_utf8(&bytes).unwrap()));
+        }
+        assert!(whole > 1_000, "only {whole} strings were numbers");
     }
 
     #[test]

@@ -146,7 +146,16 @@ impl Request {
     }
 
     /// Parses a JSON document into a request.
+    ///
+    /// A document in the exact shape [`write_json`](Request::write_json)
+    /// writes is read left to right in one pass that allocates nothing.
+    /// Any other document, and a canonical one holding a value that
+    /// reads as an error, goes to `json::read_fields`. Both paths give
+    /// the same request, floats bit for bit, or the same error.
     pub fn from_json(text: &str) -> Result<Request, String> {
+        if let Some(req) = Request::from_canonical(text) {
+            return Ok(req);
+        }
         let [kind, id, arrival, nodes, runtime] =
             json::read_fields(text, ["type", "id", "arrival", "nodes", "runtime"])?;
         match field(&kind, "type", Token::as_str)? {
@@ -164,6 +173,40 @@ impl Request {
             other => Err(format!("unknown request type {other:?}")),
         }
     }
+
+    /// The request `text` holds if it is exactly what `write_json`
+    /// writes for one: keys sorted, no whitespace, no escapes, numbers
+    /// split by the codec's grammar and read by [`Token`]'s rules.
+    /// `None` for any other document and for a value out of range.
+    fn from_canonical(text: &str) -> Option<Request> {
+        if text == "{\"type\":\"drain\"}" {
+            return Some(Request::Drain);
+        }
+        let (arrival, rest) = number_after(text, "{\"arrival\":")?;
+        let (id, rest) = number_after(rest, ",\"id\":")?;
+        let (id, arrival_secs) = (id.as_u64()?, arrival.as_f64()?);
+        if rest == ",\"type\":\"cancel\"}" {
+            return Some(Request::Cancel { id, arrival_secs });
+        }
+        let (nodes, rest) = number_after(rest, ",\"nodes\":")?;
+        let (runtime, rest) = number_after(rest, ",\"runtime\":")?;
+        if rest != ",\"type\":\"submit\"}" {
+            return None;
+        }
+        Some(Request::Submit {
+            id,
+            arrival_secs,
+            nodes: u32::try_from(nodes.as_u64()?).ok()?,
+            runtime_secs: runtime.as_f64()?,
+        })
+    }
+}
+
+/// The number token right after the literal `key` at the head of
+/// `text`, and the text after it.
+fn number_after<'a>(text: &'a str, key: &str) -> Option<(Token<'a>, &'a str)> {
+    let (number, rest) = json::split_number(text.strip_prefix(key)?).ok()?;
+    Some((Token::Num(number), rest))
 }
 
 impl Response {
@@ -479,6 +522,50 @@ mod tests {
         let too_many_nodes =
             "{\"arrival\":1,\"id\":1,\"nodes\":4294967296,\"runtime\":1,\"type\":\"submit\"}";
         assert!(Request::from_json(too_many_nodes).is_err());
+    }
+
+    #[test]
+    fn what_the_writer_writes_reads_in_one_pass() {
+        for req in [
+            Request::Submit {
+                id: u64::MAX,
+                arrival_secs: 0.1 + 0.2,
+                nodes: u32::MAX,
+                runtime_secs: f64::MAX,
+            },
+            Request::Submit {
+                id: 0,
+                arrival_secs: -0.0,
+                nodes: 0,
+                runtime_secs: 5e-324,
+            },
+            Request::Cancel {
+                id: 7,
+                arrival_secs: 1e21,
+            },
+            Request::Drain,
+        ] {
+            let text = req.to_json();
+            let read = Request::from_canonical(&text).expect("a canonical request");
+            assert_eq!(format!("{read:?}"), format!("{req:?}"), "{text}");
+        }
+        // Another shape, or a value that reads as an error, is left to
+        // the general reader.
+        for text in [
+            "{\"type\":\"drain\"} ",
+            " {\"type\":\"drain\"}",
+            "{\"arrival\":1,\"type\":\"cancel\",\"id\":1}",
+            "{\"arrival\":1,\"i\\u0064\":1,\"type\":\"cancel\"}",
+            "{\"arrival\":1,\"id\":1,\"type\":\"cancel\",\"x\":0}",
+            "{\"arrival\":1,\"id\":1,\"nodes\":4294967296,\"runtime\":1,\"type\":\"submit\"}",
+            "{\"arrival\":1e400,\"id\":1,\"type\":\"cancel\"}",
+            "{\"arrival\":1,\"id\":-0,\"type\":\"cancel\"}",
+            "{\"arrival\":1,\"id\":1.0,\"type\":\"cancel\"}",
+            "{\"arrival\":1.,\"id\":1,\"type\":\"cancel\"}",
+            "{\"arrival\":1,\"id\":1,\"nodes\":2,\"runtime\":1,\"type\":\"cancel\"}",
+        ] {
+            assert_eq!(Request::from_canonical(text), None, "{text}");
+        }
     }
 
     #[test]

@@ -494,6 +494,68 @@ fn pinned_cases_read_as_the_tree_does() {
         ),
         ("{\"type\":\"drain\",\"id\":null}".to_string(), true),
         ("[\"type\",\"drain\"]".to_string(), false),
+        // Documents in the writer's exact shape: the one-pass reader
+        // takes them or leaves them to the general one.
+        ("{\"type\":\"drain\"}".to_string(), true),
+        (
+            "{\"arrival\":1,\"id\":1,\"type\":\"cancel\"}".to_string(),
+            true,
+        ),
+        (
+            "{\"arrival\":1,\"id\":1,\"type\":\"cancel\"}\n".to_string(),
+            true,
+        ),
+        (
+            "{\"arrival\":1,\"id\":1,\"type\":\"cancel\"}}".to_string(),
+            false,
+        ),
+        ("{\"type\":\"drain\"}]".to_string(), false),
+        (
+            "{\"arrival\":1,\"id\":1,\"nodes\":4294967295,\"runtime\":1,\"type\":\"submit\"}"
+                .to_string(),
+            true,
+        ),
+        (
+            "{\"arrival\":1e400,\"id\":1,\"type\":\"cancel\"}".to_string(),
+            false,
+        ),
+        (
+            "{\"arrival\":1,\"id\":1,\"nodes\":2,\"runtime\":1e400,\"type\":\"submit\"}"
+                .to_string(),
+            false,
+        ),
+        (
+            "{\"arrival\":1,\"id\":-0,\"type\":\"cancel\"}".to_string(),
+            false,
+        ),
+        (
+            "{\"arrival\":1,\"id\":01,\"type\":\"cancel\"}".to_string(),
+            true,
+        ),
+        (
+            "{\"arrival\":-0,\"id\":01,\"nodes\":02,\"runtime\":1,\"type\":\"submit\"}".to_string(),
+            true,
+        ),
+        (
+            "{\"arrival\":1E+2,\"id\":1,\"nodes\":2,\"runtime\":1e-2,\"type\":\"submit\"}"
+                .to_string(),
+            true,
+        ),
+        (
+            "{\"arrival\":1,\"id\":1E+2,\"type\":\"cancel\"}".to_string(),
+            false,
+        ),
+        (
+            "{\"arrival\":1,\"id\":1,\"nodes\":1E+2,\"runtime\":1,\"type\":\"submit\"}".to_string(),
+            false,
+        ),
+        (format!("{{{submit},\"type\":\"submit\"}} "), true),
+        (format!("{{{submit},\"type\":\"submit\"}}\n"), true),
+        (
+            "{\"arrival\":1,\"id\":1,\"type\":\"submit\"}".to_string(),
+            false,
+        ),
+        (format!("{{{submit},\"type\":\"cancel\"}}"), true),
     ] {
         check_request(&doc).unwrap();
         assert_eq!(Request::from_json(&doc).is_ok(), accepted, "{doc}");

@@ -13,6 +13,12 @@ use rbr_simcore::{Duration, SimTime};
 
 use crate::job::JobSpec;
 
+/// The largest magnitude, in seconds, of a time field [`SwfTrace::parse`]
+/// accepts: about 31,700 years. A job's shifted arrival spans at most
+/// two such values and its runtime or estimate one, so the three sum
+/// far inside the simulator's `u64` microseconds (about 1.8e13 s).
+const MAX_TIME_SECS: f64 = 1e12;
+
 /// One SWF record (the subset of the 18 standard fields the simulator
 /// uses, with the rest preserved for round-tripping).
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -54,7 +60,8 @@ pub enum SwfError {
         /// Number of fields found.
         found: usize,
     },
-    /// A field failed numeric conversion.
+    /// A field is not a number of its type, or is a time that is not
+    /// finite or lies beyond ±1e12 s.
     BadField {
         /// 1-based line number.
         line: usize,
@@ -70,7 +77,7 @@ impl std::fmt::Display for SwfError {
                 write!(f, "line {line}: expected 18 SWF fields, found {found}")
             }
             SwfError::BadField { line, field } => {
-                write!(f, "line {line}: field {field} is not a number")
+                write!(f, "line {line}: field {field} is not a number in range")
             }
         }
     }
@@ -79,7 +86,9 @@ impl std::fmt::Display for SwfError {
 impl std::error::Error for SwfError {}
 
 impl SwfTrace {
-    /// Parses a trace from SWF text.
+    /// Parses a trace from SWF text. A time field (submit, wait,
+    /// runtime, requested time) that is not finite or lies beyond
+    /// ±1e12 s (about 31,700 years) is a [`SwfError::BadField`].
     pub fn parse(text: &str) -> Result<SwfTrace, SwfError> {
         let mut trace = SwfTrace::default();
         for (idx, raw) in text.lines().enumerate() {
@@ -104,14 +113,22 @@ impl SwfTrace {
                     .parse::<T>()
                     .map_err(|_| SwfError::BadField { line, field: i })
             }
+            fn secs(fields: &[&str], line: usize, i: usize) -> Result<f64, SwfError> {
+                let secs: f64 = num(fields, line, i)?;
+                if secs.abs() <= MAX_TIME_SECS {
+                    Ok(secs)
+                } else {
+                    Err(SwfError::BadField { line, field: i })
+                }
+            }
             trace.jobs.push(SwfJob {
                 job_id: num(&fields, line_no, 1)?,
-                submit: num(&fields, line_no, 2)?,
-                wait: num(&fields, line_no, 3)?,
-                runtime: num(&fields, line_no, 4)?,
+                submit: secs(&fields, line_no, 2)?,
+                wait: secs(&fields, line_no, 3)?,
+                runtime: secs(&fields, line_no, 4)?,
                 used_procs: num(&fields, line_no, 5)?,
                 requested_procs: num(&fields, line_no, 8)?,
-                requested_time: num(&fields, line_no, 9)?,
+                requested_time: secs(&fields, line_no, 9)?,
                 status: num(&fields, line_no, 11)?,
             });
         }
@@ -145,11 +162,11 @@ impl SwfTrace {
 
     /// Converts to a [`JobSpec`] stream for the simulator.
     ///
-    /// Jobs that cannot be simulated are skipped: non-positive runtime or
-    /// processor counts (cancelled or corrupted records). Requested
-    /// runtime is floored at the actual runtime, node counts are capped at
-    /// `max_nodes`, and arrivals are shifted so the first job arrives at
-    /// t = 0.
+    /// Jobs that cannot be simulated are skipped: a runtime that rounds
+    /// to zero microseconds, or a non-positive processor count (cancelled
+    /// or corrupted records). Requested runtime is floored at the actual
+    /// runtime, node counts are capped at `max_nodes`, and arrivals are
+    /// shifted so the first job with a positive runtime arrives at t = 0.
     pub fn to_jobs(&self, max_nodes: u32) -> Vec<JobSpec> {
         let t0 = self
             .jobs
@@ -168,10 +185,10 @@ impl SwfTrace {
                 } else {
                     j.used_procs
                 };
-                if j.runtime <= 0.0 || procs <= 0 || j.submit < t0 {
+                let runtime = Duration::from_secs(j.runtime.max(0.0));
+                if runtime.is_zero() || procs <= 0 || j.submit < t0 {
                     return None;
                 }
-                let runtime = Duration::from_secs(j.runtime);
                 let estimate = if j.requested_time > 0.0 {
                     Duration::from_secs(j.requested_time).max(runtime)
                 } else {
@@ -179,7 +196,10 @@ impl SwfTrace {
                 };
                 Some(JobSpec::new(
                     SimTime::from_secs(j.submit - t0),
-                    (procs as u32).min(max_nodes).max(1),
+                    u32::try_from(procs)
+                        .unwrap_or(u32::MAX)
+                        .min(max_nodes)
+                        .max(1),
                     runtime,
                     estimate,
                 ))
@@ -240,6 +260,13 @@ mod tests {
         assert_eq!(jobs.len(), 2);
         assert_eq!(jobs[0].nodes, 4);
         assert_eq!(jobs[0].estimate, Duration::from_secs(200.0));
+        // So is a runtime that rounds to zero microseconds.
+        let text = "1 0 0 60 2 -1 -1 2 60 -1 1 1 1 -1 1 -1 -1 -1\n\
+                    2 0 0 1e-7 2 -1 -1 2 60 -1 1 1 1 -1 1 -1 -1 -1\n\
+                    3 0 0 5e-7 2 -1 -1 2 60 -1 1 1 1 -1 1 -1 -1 -1\n";
+        let jobs = SwfTrace::parse(text).unwrap().to_jobs(128);
+        let runtimes: Vec<_> = jobs.iter().map(|j| j.runtime.as_micros()).collect();
+        assert_eq!(runtimes, [60_000_000, 1]);
     }
 
     #[test]
@@ -255,9 +282,15 @@ mod tests {
 
     #[test]
     fn node_counts_capped() {
-        let text = "1 0 0 60 512 -1 -1 512 60 -1 1 1 1 -1 1 -1 -1 -1\n";
-        let jobs = SwfTrace::parse(text).unwrap().to_jobs(128);
-        assert_eq!(jobs[0].nodes, 128);
+        // Counts past `u32::MAX` saturate before the cap.
+        let text = "1 0 0 60 512 -1 -1 512 60 -1 1 1 1 -1 1 -1 -1 -1\n\
+                    2 0 0 60 4294967297 -1 -1 -1 60 -1 1 1 1 -1 1 -1 -1 -1\n\
+                    3 0 0 60 -1 -1 -1 9223372036854775807 60 -1 1 1 1 -1 1 -1 -1 -1\n";
+        let trace = SwfTrace::parse(text).unwrap();
+        let nodes: Vec<u32> = trace.to_jobs(128).iter().map(|j| j.nodes).collect();
+        assert_eq!(nodes, [128, 128, 128]);
+        let nodes: Vec<u32> = trace.to_jobs(u32::MAX).iter().map(|j| j.nodes).collect();
+        assert_eq!(nodes, [512, u32::MAX, u32::MAX]);
     }
 
     #[test]
@@ -307,6 +340,25 @@ mod tests {
     fn bad_number_is_an_error() {
         let err = SwfTrace::parse("x 0 0 60 2 -1 -1 2 60 -1 1 1 1 -1 1 -1 -1 -1\n").unwrap_err();
         assert_eq!(err, SwfError::BadField { line: 1, field: 1 });
+        // A time that is not finite or lies beyond the bound, on the
+        // line after a good one.
+        let ok = "1 0 0 60 2 -1 -1 2 60 -1 1 1 1 -1 1 -1 -1 -1\n";
+        for (line, field) in [
+            ("2 5 0 inf 2 -1 -1 2 60 -1 1 1 1 -1 1 -1 -1 -1", 4),
+            ("2 5 0 60 2 -1 -1 2 1e300 -1 1 1 1 -1 1 -1 -1 -1", 9),
+            ("2 1e300 0 60 2 -1 -1 2 60 -1 1 1 1 -1 1 -1 -1 -1", 2),
+            ("2 5 NaN 60 2 -1 -1 2 60 -1 1 1 1 -1 1 -1 -1 -1", 3),
+            ("2 -inf 0 60 2 -1 -1 2 60 -1 1 1 1 -1 1 -1 -1 -1", 2),
+            ("2 5 0 1.000001e12 2 -1 -1 2 60 -1 1 1 1 -1 1 -1 -1 -1", 4),
+        ] {
+            let err = SwfTrace::parse(&format!("{ok}{line}\n")).unwrap_err();
+            assert_eq!(err, SwfError::BadField { line: 2, field }, "{line}");
+        }
+        // Times at the bound convert.
+        let edge = format!("{ok}2 1e12 -1e12 1e12 2 -1 -1 2 1e12 -1 1 1 1 -1 1 -1 -1 -1\n");
+        let jobs = SwfTrace::parse(&edge).unwrap().to_jobs(128);
+        assert_eq!(jobs[1].arrival, SimTime::from_secs(MAX_TIME_SECS));
+        assert_eq!(jobs[1].runtime, Duration::from_secs(MAX_TIME_SECS));
     }
 
     #[test]
