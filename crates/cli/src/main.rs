@@ -45,8 +45,9 @@
 //! Every experiment — name, description, seed, tables — comes from
 //! [`Registry::standard`]; the CLI holds no experiment list of its own.
 //! `run` executes on the `rbr-exec` campaign engine: experiments and
-//! their replications become work-stealing cells, merged in a fixed
-//! order, so any `--jobs` count produces byte-identical reports.
+//! their replications become cells that the pool's lanes claim in index
+//! order and merge in that order, so any `--jobs` count produces
+//! byte-identical reports.
 
 use std::io::Write as _;
 use std::path::PathBuf;
@@ -288,12 +289,7 @@ fn run_command(name: &str, args: &[String]) -> Result<(), String> {
         for (w, frac) in busy.iter().enumerate() {
             let cells = after.cells_executed.get(w).copied().unwrap_or(0)
                 - before.cells_executed.get(w).copied().unwrap_or(0);
-            let stolen = after.cells_stolen.get(w).copied().unwrap_or(0)
-                - before.cells_stolen.get(w).copied().unwrap_or(0);
-            eprintln!(
-                "  worker {w}: {:3.0}% busy, {cells} cell(s), {stolen} stolen",
-                frac * 100.0
-            );
+            eprintln!("  worker {w}: {:3.0}% busy, {cells} cell(s)", frac * 100.0);
         }
     }
     obs_finish(obs_metrics)

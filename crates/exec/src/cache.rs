@@ -7,21 +7,24 @@
 //! payload can be stored once under a content key and replayed anywhere:
 //!
 //! ```text
-//! <cache-dir>/ab/abcdef...32-hex...0123.json
+//! <cache-dir>/23/abcdef...32-hex...0123.json
 //! ```
 //!
 //! The key is [`hash::digest128`] of `manifest ++ "\n" ++ cell key`
-//! (FNV-1a under two bases). FNV is not collision-resistant, so every
-//! cache file records the full identity next to the payload and
-//! [`CellCache::lookup`] verifies it on hit — a colliding or corrupt
-//! entry degrades to a miss, never a wrong payload. Writes go through a
-//! temp file + rename so concurrent campaigns sharing one cache dir
-//! never observe a torn entry.
+//! (FNV-1a under two bases), and its last two hex digits name the shard
+//! directory. FNV is not collision-resistant, so every cache file
+//! records the full identity next to the payload, with a digest of the
+//! stored record, and [`CellCache::lookup`] verifies both on hit — a
+//! colliding or corrupt entry degrades to a miss, never a wrong payload.
+//! Writes go through a temp file + rename so concurrent campaigns
+//! sharing one cache dir never observe a torn entry.
 //!
 //! Each entry is two JSON lines, written and read with
-//! [`rbr_obs::json`]: an identity header, then the cell's [`Record`] as
-//! the journal writes it (including the original `elapsed_secs`, so a
-//! cache-hit replay journals exactly what the original run journalled).
+//! [`rbr_obs::json`]: an identity header (`rbr-cell-v2`: tag, manifest,
+//! key, and [`hash::digest128`] of the record line), then the cell's
+//! [`Record`] as the journal writes it (including the original
+//! `elapsed_secs`, so a cache-hit replay journals exactly what the
+//! original run journalled). Entries of another tag read as misses.
 
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -71,8 +74,13 @@ impl CellCache {
     }
 
     fn entry_path(&self, content_key: &str) -> PathBuf {
+        // The shard is the key's last byte, not its first: FNV-1a's top
+        // byte barely moves between inputs that differ only in their
+        // last characters, such as a campaign's consecutive cell keys,
+        // so sharding by it crowds neighbouring cells, which lanes
+        // claim and store together, into a few shared directories.
         self.dir
-            .join(&content_key[..2])
+            .join(&content_key[30..])
             .join(format!("{content_key}.json"))
     }
 
@@ -88,15 +96,17 @@ impl CellCache {
         let path = self.entry_path(&Self::content_key(manifest, key));
         let bytes = std::fs::read(&path).ok()?;
         let mut lines = bytes.split(|b| *b == b'\n');
-        let identity = parse_line(lines.next()?, &["cache", "campaign", "key"]).ok()?;
+        let identity = parse_line(lines.next()?, &["cache", "campaign", "key", "record"]).ok()?;
         let field = |k| identity.get(k).and_then(Json::as_str);
-        if field("cache")? != "rbr-cell-v1"
+        let line = lines.next()?;
+        if field("cache")? != "rbr-cell-v2"
             || field("campaign")? != manifest
             || field("key")? != key
+            || field("record")? != hash::digest128(line)
         {
             return None;
         }
-        let record = parse_record(lines.next()?).ok()?;
+        let record = parse_record(line).ok()?;
         if record.key != key {
             return None;
         }
@@ -113,12 +123,15 @@ impl CellCache {
         std::fs::create_dir_all(parent)
             .map_err(|e| format!("cannot create {}: {e}", parent.display()))?;
 
-        let mut text = String::from("{\"cache\":\"rbr-cell-v1\",\"campaign\":");
+        let line = record_line(record);
+        let mut text = String::from("{\"cache\":\"rbr-cell-v2\",\"campaign\":");
         json::write_str(&mut text, manifest);
         text.push_str(",\"key\":");
         json::write_str(&mut text, &record.key);
-        text.push_str("}\n");
-        text.push_str(&record_line(record));
+        text.push_str(",\"record\":\"");
+        text.push_str(&hash::digest128(line.trim_end_matches('\n').as_bytes()));
+        text.push_str("\"}\n");
+        text.push_str(&line);
 
         let tmp = parent.join(format!(".{content_key}.{}.tmp", std::process::id()));
         let mut file = std::fs::File::create(&tmp)
@@ -202,8 +215,12 @@ mod tests {
             "fig1 scale=smoke",
         ));
         assert_eq!(
+            path.strip_prefix(&dir).unwrap(),
+            Path::new("be/cac0fc5fcdc07cf307a3858bc1b098be.json")
+        );
+        assert_eq!(
             std::fs::read_to_string(&path).unwrap(),
-            "{\"cache\":\"rbr-cell-v1\",\"campaign\":\"scale=smoke \\\"q\\\"\\tseed=7\",\"key\":\"fig1 scale=smoke\"}\n{\"cell\":4,\"key\":\"fig1 scale=smoke\",\"elapsed_secs\":1.25,\"payload\":\"{\\\"meta\\\":\\\"fig1\\\",\\\"text\\\":\\\"a\\\\nπ\\\"}\"}\n"
+            "{\"cache\":\"rbr-cell-v2\",\"campaign\":\"scale=smoke \\\"q\\\"\\tseed=7\",\"key\":\"fig1 scale=smoke\",\"record\":\"c8b319c35b045e8930aaa0339d5cebb0\"}\n{\"cell\":4,\"key\":\"fig1 scale=smoke\",\"elapsed_secs\":1.25,\"payload\":\"{\\\"meta\\\":\\\"fig1\\\",\\\"text\\\":\\\"a\\\\nπ\\\"}\"}\n"
         );
         std::fs::remove_dir_all(&dir).unwrap();
     }

@@ -5,20 +5,22 @@
 //! *cells* — independent units of work, each a pure function of a seed
 //! derived from the master seed through the splittable
 //! [`rbr_simcore`](rbr_simcore::rng::SeedSequence) RNG hierarchy — and
-//! executes them on a work-stealing thread pool, merging results in cell
-//! order so the output is **bit-identical to the serial run for any job
-//! count**.
+//! executes them on a self-scheduling thread pool, merging results in
+//! cell order so the output is **bit-identical to the serial run for any
+//! job count**.
 //!
 //! The layers:
 //!
-//! * [`pool`] — the work-stealing pool. Per-worker deques with a global
-//!   injector; the submitting thread participates while it waits, so one
-//!   lane degenerates to a plain serial loop and nested fan-outs (an
-//!   experiment's replications inside a campaign's experiments) cannot
-//!   deadlock. Its one primitive is the fold: [`pool::map_fold`] /
-//!   [`pool::fold_cells`] deliver each result to an in-order sink
-//!   through a bounded reorder window, so arbitrarily wide fan-outs
-//!   hold O(window) results in flight.
+//! * [`pool`] — the self-scheduling pool. Its workers park on one queue
+//!   of helpers; a fold queues a helper per spare worker, and the calling
+//!   thread and every worker that takes a helper claim the next
+//!   unclaimed cell index until none is left. The caller is always a
+//!   lane, so one lane degenerates to a plain serial loop and nested
+//!   fan-outs (an experiment's replications inside a campaign's
+//!   experiments) cannot deadlock. Its one primitive is the fold:
+//!   [`pool::map_fold`] / [`pool::fold_cells`] deliver each result to an
+//!   in-order sink through a bounded reorder window, so arbitrarily wide
+//!   fan-outs hold O(window) results in flight.
 //!   [`pool::with_pool`] pins a scope to a specific pool, and
 //!   [`pool::configure`] sizes the process-global one (`--jobs`).
 //! * [`journal`] — the crash-safe, *segmented* campaign journal:
@@ -31,7 +33,8 @@
 //!   a corrupted *sealed* segment is a hard error.
 //! * [`cache`] — the content-keyed cross-campaign cell cache
 //!   (`--cache DIR`): an entry per `(manifest, cell key)` digest, each
-//!   hit identity-verified before replaying the stored bytes.
+//!   hit identity- and payload-verified before replaying the stored
+//!   bytes.
 //! * [`campaign`] — orchestration: [`campaign::run_streaming`]
 //!   evaluates a cell list on the current pool, appends each completion
 //!   to the journal, replays journalled cells on `--resume` (and

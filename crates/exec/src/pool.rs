@@ -1,222 +1,138 @@
-//! The work-stealing cell pool.
+//! The self-scheduling cell pool.
 //!
 //! Campaign cells are heterogeneous — a CBF replication of Table 1's
 //! paper-scale cell costs 51–72× an EASY one (one core of a two-vCPU
 //! host) — so static chunking (split the cell list into one contiguous
 //! block per thread) head-of-line-blocks: whichever thread drew the CBF
-//! block runs long after the rest go idle. The pool therefore *steals*:
+//! block runs long after the rest go idle. The pool therefore
+//! *self-schedules*: each lane of a fold claims the next unclaimed cell
+//! index whenever it goes idle, so a long cell holds up only its own
+//! lane.
 //!
-//! * every worker owns a deque; it pops its own work from the back
-//!   (LIFO, cache-warm) and steals from the *front* of siblings' deques
-//!   when it runs dry;
-//! * a global injector queue receives work submitted from threads that
-//!   are not pool workers (the CLI main thread, test threads);
-//! * a submitting thread is itself a participant: [`map_fold`] blocks
-//!   until its batch completes, and while blocked it executes cells
-//!   instead of sleeping, so `jobs = 1` (a pool with zero workers) is an
-//!   ordinary serial loop and nested submissions can never deadlock —
-//!   every un-started cell of a batch is always claimable by the thread
-//!   waiting on that batch.
+//! * The pool's `jobs - 1` workers park on one queue of *helpers*. A
+//!   fold of `n` cells queues `min(jobs - 1, n - 1)` of them, and a
+//!   worker that takes one becomes a lane of that fold until no cell is
+//!   left to claim.
+//! * The calling thread is a lane too, and it never waits for a helper
+//!   to start, so `jobs = 1` (a pool with no workers) is an ordinary
+//!   serial loop and a nested fold cannot deadlock: its caller alone can
+//!   claim every one of its cells.
+//! * Before a fold returns it withdraws the helpers no worker took and
+//!   waits for the ones that run, so no lane outlives the fold.
 //!
 //! The pool has one primitive, the fold: [`map_fold`] (and
 //! [`fold_cells`], its shape over cell indices) runs on the current pool
-//! — the innermost [`with_pool`], else the pool whose worker is calling,
-//! else the global one. A caller that wants a vector pushes into it from
-//! the sink.
+//! — the innermost [`with_pool`] (a worker starts with its own pool
+//! there), else the global one. A caller that wants a vector pushes into
+//! it from the sink.
 //!
 //! Determinism: a cell's inputs come only from its index (experiments
 //! derive per-cell seeds hierarchically), and every completed cell is
 //! routed through a bounded reorder window that releases results in
-//! index order. Results therefore stream to the caller in submission
-//! order, bit-identical to the serial evaluation, for any worker count
-//! and any steal interleaving — and a fold over a campaign of N cells
-//! holds at most one reorder window of results, not N.
+//! index order. Results therefore stream to the caller in index order,
+//! bit-identical to the serial evaluation, for any worker count and any
+//! claim interleaving — and a fold over a campaign of N cells holds at
+//! most one reorder window of results, not N.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
-/// A unit of queued work: one cell of some batch, with its lifetime
-/// erased (see the safety comment in [`FoldCtx::make_task`]).
-struct Task {
-    batch: Arc<Batch>,
-    run: Box<dyn FnOnce() + Send + 'static>,
+/// A panic caught on some lane, re-raised on the fold's caller.
+type Payload = Box<dyn std::any::Any + Send>;
+
+/// One lane of a fold: claims cells until none is left, and returns how
+/// many it ran and the time they took.
+type Lane<'a> = Box<dyn FnOnce() -> (u64, Duration) + Send + 'a>;
+
+/// A lane queued for a worker, with its lifetime erased (see the SAFETY
+/// note in [`Shared::map_fold_impl`]).
+struct Helper {
+    lanes: Arc<Lanes>,
+    run: Lane<'static>,
 }
 
-/// Completion state of one fold.
-struct Batch {
-    /// Cells completed so far (executed or panicked).
-    done: Mutex<usize>,
-    /// Cells in the batch.
-    total: usize,
-    /// First panic payload raised by a cell, re-raised on the submitting
-    /// thread once the batch has fully drained.
-    panic: Mutex<Option<Box<dyn std::any::Any + Send + 'static>>>,
-    /// Signals the submitter when `done == total`.
-    complete: Condvar,
+/// How many helpers of one fold are queued or running, and the first
+/// panic any lane of the fold caught. A helper leaves once it has run or
+/// the fold has withdrawn it.
+struct Lanes {
+    state: Mutex<(usize, Option<Payload>)>,
+    left: Condvar,
 }
 
-impl Batch {
-    fn new(total: usize) -> Self {
-        Batch {
-            done: Mutex::new(0),
-            total,
-            panic: Mutex::new(None),
-            complete: Condvar::new(),
+impl Lanes {
+    /// Keeps `payload` if it is the fold's first panic.
+    fn panicked(&self, payload: Payload) {
+        let mut state = lock(&self.state);
+        if state.1.is_none() {
+            state.1 = Some(payload);
         }
     }
 
-    fn is_done(&self) -> bool {
-        *self.done.lock().unwrap() == self.total
+    fn leave(&self, helpers: usize) {
+        let mut state = lock(&self.state);
+        state.0 -= helpers;
+        if state.0 == 0 {
+            self.left.notify_all();
+        }
+    }
+
+    /// Blocks until every helper has left, and returns the first panic.
+    fn wait(&self) -> Option<Payload> {
+        let state = self.left.wait_while(lock(&self.state), |s| s.0 > 0);
+        state.unwrap_or_else(PoisonError::into_inner).1.take()
     }
 }
 
-/// State shared by the pool handle, its workers, and thread-local
-/// context references.
+/// Locks `mutex` even if a panic poisoned it. Every critical section in
+/// the pool leaves its data whole (cell and sink panics are caught inside
+/// the lanes), and a fold must not unwind past its own frame while one
+/// of its helpers may still run.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// The helpers no worker has taken yet, and whether the pool is closing.
+#[derive(Default)]
+struct Queue {
+    helpers: VecDeque<Helper>,
+    closing: bool,
+}
+
+/// State shared by the pool handle and its workers.
 struct Shared {
-    /// Work submitted from non-worker threads.
-    injector: Mutex<VecDeque<Task>>,
-    /// One deque per worker; the owner pushes/pops at the back, thieves
-    /// steal from the front.
-    locals: Vec<Mutex<VecDeque<Task>>>,
+    queue: Mutex<Queue>,
     /// Parking lot for idle workers.
-    idle: Mutex<()>,
     wake: Condvar,
-    shutdown: AtomicBool,
-    /// Nanoseconds each worker spent executing cells.
+    /// Nanoseconds each worker spent executing the cells it claimed.
     busy_ns: Vec<AtomicU64>,
-    /// Cells each worker executed.
+    /// Cells each worker claimed as a helper of some fold.
     executed: Vec<AtomicU64>,
-    /// Cells each worker claimed from a *sibling's* deque (true steals;
-    /// own-deque pops and injector claims are not steals).
-    stolen: Vec<AtomicU64>,
     created: Instant,
 }
 
 impl Shared {
     fn new(workers: usize) -> Self {
         Shared {
-            injector: Mutex::new(VecDeque::new()),
-            locals: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
-            idle: Mutex::new(()),
+            queue: Mutex::default(),
             wake: Condvar::new(),
-            shutdown: AtomicBool::new(false),
             busy_ns: (0..workers).map(|_| AtomicU64::new(0)).collect(),
             executed: (0..workers).map(|_| AtomicU64::new(0)).collect(),
-            stolen: (0..workers).map(|_| AtomicU64::new(0)).collect(),
             created: Instant::now(),
         }
     }
 
     fn workers(&self) -> usize {
-        self.locals.len()
+        self.busy_ns.len()
     }
 
-    /// Wakes every parked worker (called after any push).
-    fn notify(&self) {
-        let _guard = self.idle.lock().unwrap();
-        self.wake.notify_all();
-    }
-
-    /// True when any queue holds a task.
-    fn any_queued(&self) -> bool {
-        if !self.injector.lock().unwrap().is_empty() {
-            return true;
-        }
-        self.locals.iter().any(|l| !l.lock().unwrap().is_empty())
-    }
-
-    /// Worker claim order: own deque (back), injector (front), then
-    /// steal from siblings (front), scanning from the neighbour upward
-    /// so thieves spread over victims.
-    fn find_task(&self, w: usize) -> Option<Task> {
-        if let Some(t) = self.locals[w].lock().unwrap().pop_back() {
-            return Some(t);
-        }
-        if let Some(t) = self.injector.lock().unwrap().pop_front() {
-            return Some(t);
-        }
-        let n = self.workers();
-        for step in 1..n {
-            let victim = (w + step) % n;
-            if let Some(t) = self.locals[victim].lock().unwrap().pop_front() {
-                self.stolen[w].fetch_add(1, Ordering::Relaxed);
-                return Some(t);
-            }
-        }
-        None
-    }
-
-    /// Runs one task, crediting `worker`'s busy counters and recording
-    /// completion (and any panic) in the task's batch.
-    fn execute(&self, task: Task, worker: Option<usize>) {
-        let batch = task.batch;
-        let started = Instant::now();
-        let outcome = catch_unwind(AssertUnwindSafe(task.run));
-        if let Some(w) = worker {
-            let ns = started.elapsed().as_nanos() as u64;
-            self.busy_ns[w].fetch_add(ns, Ordering::Relaxed);
-            self.executed[w].fetch_add(1, Ordering::Relaxed);
-        }
-        if let Err(payload) = outcome {
-            let mut slot = batch.panic.lock().unwrap();
-            if slot.is_none() {
-                *slot = Some(payload);
-            }
-        }
-        let mut done = batch.done.lock().unwrap();
-        *done += 1;
-        if *done == batch.total {
-            batch.complete.notify_all();
-        }
-    }
-
-    /// Blocks until `batch` drains, executing claimable work meanwhile.
-    ///
-    /// `claim` must only return tasks that are safe for this thread to
-    /// run re-entrantly: the batch's own cells, or (on a worker thread)
-    /// cells this thread itself pushed. Once `claim` runs dry every
-    /// remaining cell of the batch is in flight on some other thread, so
-    /// sleeping on the completion condvar cannot deadlock.
-    fn participate(
-        &self,
-        batch: &Arc<Batch>,
-        worker: Option<usize>,
-        claim: impl Fn() -> Option<Task>,
-    ) {
-        loop {
-            if batch.is_done() {
-                break;
-            }
-            if let Some(task) = claim() {
-                self.execute(task, worker);
-                continue;
-            }
-            let mut done = batch.done.lock().unwrap();
-            while *done < batch.total {
-                done = batch.complete.wait(done).unwrap();
-            }
-            break;
-        }
-        if let Some(payload) = batch.panic.lock().unwrap().take() {
-            resume_unwind(payload);
-        }
-    }
-
-    /// The streaming fold under [`map_fold`]: evaluates `f` over every
-    /// item on the pool and delivers each result to `sink` in input
-    /// order, as it lands, through a bounded reorder window.
-    ///
-    /// The window is what keeps memory flat: at most `window` cells are
-    /// in flight or buffered at once (`FOLD_WINDOW_PER_LANE` per lane),
-    /// and a new cell is only submitted once the delivery head has
-    /// advanced close enough behind it. Delivery order is the input
-    /// order regardless of job count or steal interleaving, so a fold is
-    /// bit-identical to the serial loop. `sink` runs under the fold's
-    /// internal lock and must not submit pool work of its own.
-    fn map_fold_impl<T, R, F, S>(self: &Arc<Self>, items: Vec<T>, f: F, mut sink: S)
+    /// The fold under [`map_fold`]. Its window keeps memory flat: at
+    /// most `window` cells (`FOLD_WINDOW_PER_LANE` per lane) are in
+    /// flight or buffered at once, because no lane claims a cell a
+    /// window or more past the delivery head.
+    fn map_fold_impl<T, R, F, S>(&self, items: Vec<T>, f: F, mut sink: S)
     where
         T: Send,
         R: Send,
@@ -224,59 +140,69 @@ impl Shared {
         S: FnMut(usize, R) + Send,
     {
         let n = items.len();
+        let workers = self.workers();
         // Serial fast path: nothing to fan out, or nobody to fan out to.
-        if n <= 1 || self.workers() == 0 {
+        if n <= 1 || workers == 0 {
             for (i, item) in items.into_iter().enumerate() {
                 sink(i, f(i, item));
             }
             return;
         }
 
-        let window = ((self.workers() + 1) * FOLD_WINDOW_PER_LANE).min(n);
-        let batch = Arc::new(Batch::new(n));
-        let worker = worker_index_on(self);
-        let items: Vec<Mutex<Option<T>>> = items.into_iter().map(|x| Mutex::new(Some(x))).collect();
-        let state = Mutex::new(FoldState {
-            ring: (0..window).map(|_| None).collect(),
-            head: 0,
-            submitted: window,
-            sink,
-        });
+        let window = ((workers + 1) * FOLD_WINDOW_PER_LANE).min(n);
+        let helpers = workers.min(n - 1);
+        let fold = Fold {
+            state: Mutex::new(FoldState {
+                items: items.into_iter(),
+                next: 0,
+                head: 0,
+                ring: (0..window).map(|_| None).collect(),
+                sink: Some(sink),
+            }),
+            room: Condvar::new(),
+            f,
+            n,
+            window,
+            lanes: Arc::new(Lanes {
+                state: Mutex::new((helpers, None)),
+                left: Condvar::new(),
+            }),
+        };
+        let lanes = &fold.lanes;
         {
-            let ctx = FoldCtx {
-                shared: self,
-                batch: &batch,
-                items: &items,
-                f: &f,
-                state: &state,
-                n,
-                window,
-            };
-            // Prime one window of cells; completions submit the rest as
-            // the delivery head advances (see `FoldCtx::complete`).
-            let primed: Vec<Task> = (0..window).map(|i| ctx.make_task(i)).collect();
-            match worker {
-                Some(w) => {
-                    self.locals[w].lock().unwrap().extend(primed);
-                    self.notify();
-                    // A worker's own deque only ever contains work pushed
-                    // by frames on its own stack, so claiming any of it
-                    // re-entrantly is safe and keeps the subtree moving.
-                    self.participate(&batch, worker, || self.locals[w].lock().unwrap().pop_back());
-                }
-                None => {
-                    self.injector.lock().unwrap().extend(primed);
-                    self.notify();
-                    // External threads claim only their own batch's cells
-                    // so they never get stuck executing an unrelated
-                    // long-running cell while their batch is finished.
-                    self.participate(&batch, None, || {
-                        let mut q = self.injector.lock().unwrap();
-                        let pos = q.iter().position(|t| Arc::ptr_eq(&t.batch, &batch));
-                        pos.and_then(|p| q.remove(p))
-                    });
-                }
+            let mut queue = lock(&self.queue);
+            for _ in 0..helpers {
+                let run: Lane<'_> = Box::new(|| fold.lane());
+                // SAFETY: `run` borrows `fold` from this frame. Each
+                // helper is counted in `fold.lanes` from here until it
+                // has run or been withdrawn, and this frame neither
+                // returns nor unwinds before that count is zero: the
+                // caller's own lane runs under `catch_unwind`, and what
+                // follows it cannot panic (`lock` ignores poisoning). So
+                // no helper runs, and none is dropped, once `fold` is
+                // gone.
+                let run = unsafe { std::mem::transmute::<Lane<'_>, Lane<'static>>(run) };
+                queue.helpers.push_back(Helper {
+                    lanes: Arc::clone(lanes),
+                    run,
+                });
             }
+        }
+        for _ in 0..helpers {
+            self.wake.notify_one();
+        }
+        if let Err(payload) = catch_unwind(AssertUnwindSafe(|| fold.lane())) {
+            lanes.panicked(payload);
+        }
+        let withdrawn = {
+            let mut queue = lock(&self.queue);
+            let queued = queue.helpers.len();
+            queue.helpers.retain(|h| !Arc::ptr_eq(&h.lanes, lanes));
+            queued - queue.helpers.len()
+        };
+        lanes.leave(withdrawn);
+        if let Some(payload) = lanes.wait() {
+            resume_unwind(payload);
         }
     }
 }
@@ -287,197 +213,132 @@ impl Shared {
 /// front) bounds buffered results to a constant.
 const FOLD_WINDOW_PER_LANE: usize = 32;
 
-/// Reorder state of one fold: a ring of completed-but-undelivered
-/// results plus the submission cursor, all advanced under one lock by
-/// whichever thread completes a cell.
-struct FoldState<R, S> {
-    /// Slot `i % window` holds cell `i`'s completion between landing and
-    /// delivery: `None` = not finished (or not submitted), `Some(None)`
-    /// = panicked (a placeholder so the head can advance past it),
-    /// `Some(Some(r))` = ready to deliver.
-    ring: Vec<Option<Option<R>>>,
-    /// Next cell index to deliver to the sink.
-    head: usize,
-    /// Cells submitted to the queues so far. Invariant: `submitted <=
-    /// head + window`, which bounds in-flight work and the ring alike.
-    submitted: usize,
-    sink: S,
-}
-
-/// Everything a fold cell needs, borrowed from the [`map_fold_impl`]
-/// frame (lifetimes erased on the queue; see the SAFETY note in
-/// [`FoldCtx::make_task`]).
-struct FoldCtx<'a, T, R, F, S> {
-    shared: &'a Arc<Shared>,
-    batch: &'a Arc<Batch>,
-    items: &'a [Mutex<Option<T>>],
-    f: &'a F,
-    state: &'a Mutex<FoldState<R, S>>,
+/// A fold with more than one lane; its helpers borrow it from the
+/// [`Shared::map_fold_impl`] frame.
+struct Fold<T, R, F, S> {
+    state: Mutex<FoldState<T, R, S>>,
+    /// Signalled when the delivery head advances, which opens the window.
+    room: Condvar,
+    f: F,
     n: usize,
     window: usize,
+    lanes: Arc<Lanes>,
 }
 
-impl<T, R, F, S> Clone for FoldCtx<'_, T, R, F, S> {
-    fn clone(&self) -> Self {
-        *self
-    }
+/// The claim cursor and reorder window of a fold, advanced under its
+/// lock by whichever lane claims or lands a cell.
+struct FoldState<T, R, S> {
+    /// The unclaimed items, cell `next`'s first.
+    items: std::vec::IntoIter<T>,
+    /// Next cell to claim. Invariant: `next <= head + window`, which
+    /// bounds in-flight work and the ring alike.
+    next: usize,
+    /// Next cell to deliver to the sink.
+    head: usize,
+    /// Slot `i % window` holds cell `i`'s completion between landing and
+    /// delivery: `None` = not landed, `Some(None)` = panicked (a
+    /// placeholder so the head can advance past it), `Some(Some(r))` =
+    /// ready to deliver.
+    ring: Vec<Option<Option<R>>>,
+    /// `None` once it has panicked: the fold then claims and delivers
+    /// nothing more.
+    sink: Option<S>,
 }
-impl<T, R, F, S> Copy for FoldCtx<'_, T, R, F, S> {}
 
-impl<T, R, F, S> FoldCtx<'_, T, R, F, S>
+impl<T, R, F, S> Fold<T, R, F, S>
 where
-    T: Send,
-    R: Send,
-    F: Fn(usize, T) -> R + Sync,
-    S: FnMut(usize, R) + Send,
+    F: Fn(usize, T) -> R,
+    S: FnMut(usize, R),
 {
-    fn make_task(&self, i: usize) -> Task {
-        let ctx = *self;
-        let run: Box<dyn FnOnce() + Send + '_> = Box::new(move || ctx.run_cell(i));
-        // SAFETY: the closure borrows the fold's items, state, and `f`
-        // from the `map_fold_impl` stack frame. `participate` there
-        // returns (or unwinds) only after every task of the batch has
-        // finished executing — completions are counted after the closure
-        // returns or panics — so no task can observe those borrows after
-        // that frame ends. Queued-but-never-run tasks cannot exist
-        // either: the pool only drops tasks by executing them, every
-        // submitted cell is eventually executed (the completion guard
-        // below keeps submissions flowing even across panics), and the
-        // participating submitter can always claim its own batch's
-        // unstarted cells.
-        let run: Box<dyn FnOnce() + Send + 'static> = unsafe { std::mem::transmute(run) };
-        Task {
-            batch: Arc::clone(self.batch),
-            run,
-        }
-    }
-
-    fn run_cell(self, i: usize) {
-        /// Records the cell's completion even when `f` panics: the
-        /// reorder head must advance past a panicked cell (via a `None`
-        /// placeholder) or submission would stall and the batch would
-        /// never drain. The panic itself still propagates to the batch
-        /// through the pool's `catch_unwind`.
-        struct Complete<'a, T, R, F, S>
-        where
-            T: Send,
-            R: Send,
-            F: Fn(usize, T) -> R + Sync,
-            S: FnMut(usize, R) + Send,
-        {
-            ctx: FoldCtx<'a, T, R, F, S>,
-            i: usize,
-            value: Option<R>,
-        }
-        impl<T, R, F, S> Drop for Complete<'_, T, R, F, S>
-        where
-            T: Send,
-            R: Send,
-            F: Fn(usize, T) -> R + Sync,
-            S: FnMut(usize, R) + Send,
-        {
-            fn drop(&mut self) {
-                self.ctx.complete(self.i, self.value.take());
+    /// Runs one lane: claims the next cell while the window has room,
+    /// runs it outside the lock and lands it, until every cell is
+    /// claimed or the sink has panicked. Returns the cells it ran and
+    /// the time they took.
+    fn lane(&self) -> (u64, Duration) {
+        let (mut cells, mut busy) = (0, Duration::ZERO);
+        let mut st = lock(&self.state);
+        while st.next < self.n && st.sink.is_some() {
+            if st.next == st.head + self.window {
+                st = self.room.wait(st).unwrap_or_else(PoisonError::into_inner);
+                continue;
             }
+            let i = st.next;
+            st.next += 1;
+            let item = st.items.next().expect("one item per cell");
+            drop(st);
+            let started = Instant::now();
+            let value = catch_unwind(AssertUnwindSafe(|| (self.f)(i, item)));
+            busy += started.elapsed();
+            cells += 1;
+            let value = value.map_err(|payload| self.lanes.panicked(payload)).ok();
+            st = lock(&self.state);
+            self.land(&mut st, i, value);
         }
-        let mut guard = Complete {
-            ctx: self,
-            i,
-            value: None,
-        };
-        let item = self.items[i]
-            .lock()
-            .unwrap()
-            .take()
-            .expect("each fold cell claims its item exactly once");
-        guard.value = Some((self.f)(i, item));
+        (cells, busy)
     }
 
-    /// Lands cell `i`'s result (or a panic placeholder), delivers every
-    /// now-contiguous result to the sink in index order, and submits new
-    /// cells up to the window past the advanced head.
-    fn complete(self, i: usize, value: Option<R>) {
-        let (spawn_from, spawn_to) = {
-            let mut st = self.state.lock().unwrap();
-            let slot = i % self.window;
-            debug_assert!(st.ring[slot].is_none(), "fold slot collided");
-            st.ring[slot] = Some(value);
-            while st.head < self.n {
-                let head_slot = st.head % self.window;
-                match st.ring[head_slot].take() {
-                    Some(entry) => {
-                        let head = st.head;
-                        if let Some(v) = entry {
-                            (st.sink)(head, v);
-                        }
-                        st.head = head + 1;
-                    }
-                    None => break,
+    /// Lands cell `i`'s result (`None` if it panicked) and delivers every
+    /// result now contiguous with the head, in index order.
+    fn land(&self, st: &mut FoldState<T, R, S>, i: usize, value: Option<R>) {
+        let slot = &mut st.ring[i % self.window];
+        debug_assert!(slot.is_none(), "fold slot collided");
+        *slot = Some(value);
+        let from = st.head;
+        while st.head < self.n {
+            let Some(entry) = st.ring[st.head % self.window].take() else {
+                break;
+            };
+            if let (Some(value), Some(sink)) = (entry, &mut st.sink) {
+                let head = st.head;
+                if let Err(payload) = catch_unwind(AssertUnwindSafe(|| sink(head, value))) {
+                    st.sink = None;
+                    self.lanes.panicked(payload);
                 }
             }
-            let from = st.submitted;
-            let to = (st.head + self.window).min(self.n).max(from);
-            st.submitted = to;
-            (from, to)
-        };
-        if spawn_to > spawn_from {
-            let tasks: Vec<Task> = (spawn_from..spawn_to).map(|j| self.make_task(j)).collect();
-            match worker_index_on(self.shared) {
-                Some(w) => self.shared.locals[w].lock().unwrap().extend(tasks),
-                None => self.shared.injector.lock().unwrap().extend(tasks),
-            }
-            self.shared.notify();
+            st.head += 1;
+        }
+        if st.head > from {
+            self.room.notify_all();
         }
     }
 }
 
-fn worker_loop(shared: Arc<Shared>, w: usize) {
-    WORKER.with(|cell| *cell.borrow_mut() = Some((Arc::clone(&shared), w)));
+fn work(shared: Arc<Shared>, w: usize) {
+    // Folds inside a helper's cells run on this pool, as they do on the
+    // fold's caller.
+    CONTEXT.with(|c| c.borrow_mut().push(Arc::clone(&shared)));
     loop {
-        if shared.shutdown.load(Ordering::Acquire) {
+        let mut queue = shared
+            .wake
+            .wait_while(lock(&shared.queue), |q| q.helpers.is_empty() && !q.closing)
+            .unwrap_or_else(PoisonError::into_inner);
+        // Empty only once the pool is closing.
+        let Some(helper) = queue.helpers.pop_front() else {
             return;
-        }
-        match shared.find_task(w) {
-            Some(task) => shared.execute(task, Some(w)),
-            None => {
-                let guard = shared.idle.lock().unwrap();
-                if shared.shutdown.load(Ordering::Acquire) {
-                    return;
-                }
-                if !shared.any_queued() {
-                    // The timeout is belt-and-braces only; pushes notify
-                    // under the `idle` lock, so wakeups cannot be lost.
-                    let _ = shared
-                        .wake
-                        .wait_timeout(guard, Duration::from_millis(100))
-                        .unwrap();
-                }
+        };
+        drop(queue);
+        match catch_unwind(AssertUnwindSafe(helper.run)) {
+            Ok((cells, busy)) => {
+                shared.executed[w].fetch_add(cells, Ordering::Relaxed);
+                shared.busy_ns[w].fetch_add(busy.as_nanos() as u64, Ordering::Relaxed);
             }
+            Err(payload) => helper.lanes.panicked(payload),
         }
+        helper.lanes.leave(1);
     }
 }
 
 thread_local! {
-    /// `(pool, index)` on pool worker threads.
-    static WORKER: std::cell::RefCell<Option<(Arc<Shared>, usize)>> =
-        const { std::cell::RefCell::new(None) };
-    /// Stack of [`with_pool`] overrides on this thread.
+    /// Stack of [`with_pool`] overrides on this thread; a worker's own
+    /// pool sits at the bottom of its stack.
     static CONTEXT: std::cell::RefCell<Vec<Arc<Shared>>> =
         const { std::cell::RefCell::new(Vec::new()) };
 }
 
-/// The worker index of the current thread, if it is a worker of `shared`.
-fn worker_index_on(shared: &Arc<Shared>) -> Option<usize> {
-    WORKER.with(|cell| match cell.borrow().as_ref() {
-        Some((pool, w)) if Arc::ptr_eq(pool, shared) => Some(*w),
-        _ => None,
-    })
-}
-
-/// A work-stealing pool of `jobs` execution lanes: `jobs - 1` worker
-/// threads plus the submitting thread, which participates while it waits
-/// on a batch. `Pool::new(1)` spawns no threads at all and evaluates
-/// every fold serially on the caller.
+/// A self-scheduling pool of `jobs` execution lanes: `jobs - 1` worker
+/// threads plus the calling thread, which is a lane of every fold it
+/// starts. `Pool::new(1)` spawns no threads at all and evaluates every
+/// fold serially on the caller.
 pub struct Pool {
     shared: Arc<Shared>,
     handles: Vec<std::thread::JoinHandle<()>>,
@@ -493,49 +354,39 @@ impl Pool {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("rbr-exec-{w}"))
-                    .spawn(move || worker_loop(shared, w))
+                    .spawn(move || work(shared, w))
                     .expect("spawn pool worker")
             })
             .collect();
         Pool { shared, handles }
     }
 
-    /// Total execution lanes (workers + the participating submitter).
+    /// Total execution lanes (workers + the calling thread).
     pub fn jobs(&self) -> usize {
         self.shared.workers() + 1
     }
 
     /// A snapshot of the pool's per-worker counters.
     pub fn metrics(&self) -> PoolMetrics {
+        let load = |counters: &[AtomicU64]| -> Vec<u64> {
+            counters.iter().map(|c| c.load(Ordering::Relaxed)).collect()
+        };
         PoolMetrics {
             jobs: self.jobs(),
             elapsed_secs: self.shared.created.elapsed().as_secs_f64(),
-            busy_secs: self
-                .shared
-                .busy_ns
-                .iter()
-                .map(|b| b.load(Ordering::Relaxed) as f64 * 1e-9)
+            busy_secs: load(&self.shared.busy_ns)
+                .into_iter()
+                .map(|ns| ns as f64 * 1e-9)
                 .collect(),
-            cells_executed: self
-                .shared
-                .executed
-                .iter()
-                .map(|e| e.load(Ordering::Relaxed))
-                .collect(),
-            cells_stolen: self
-                .shared
-                .stolen
-                .iter()
-                .map(|s| s.load(Ordering::Relaxed))
-                .collect(),
+            cells_executed: load(&self.shared.executed),
         }
     }
 }
 
 impl Drop for Pool {
     fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::Release);
-        self.shared.notify();
+        lock(&self.shared.queue).closing = true;
+        self.shared.wake.notify_all();
         for handle in self.handles.drain(..) {
             let _ = handle.join();
         }
@@ -546,17 +397,15 @@ impl Drop for Pool {
 /// snapshots (see [`PoolMetrics::since`]) to meter one campaign.
 #[derive(Clone, Debug)]
 pub struct PoolMetrics {
-    /// Execution lanes (workers + submitter).
+    /// Execution lanes (workers + the calling thread).
     pub jobs: usize,
     /// Seconds since the pool was created.
     pub elapsed_secs: f64,
-    /// Seconds each worker spent executing cells (excludes the
-    /// submitting thread's share).
+    /// Seconds each worker spent executing the cells it claimed
+    /// (excludes the calling thread's share).
     pub busy_secs: Vec<f64>,
-    /// Cells each worker executed.
+    /// Cells each worker claimed as a helper of some fold.
     pub cells_executed: Vec<u64>,
-    /// Cells each worker claimed from a sibling's deque.
-    pub cells_stolen: Vec<u64>,
 }
 
 impl PoolMetrics {
@@ -571,7 +420,7 @@ impl PoolMetrics {
     }
 
     /// Publishes this snapshot into the observability registry
-    /// (per-worker busy seconds / cells / steals as gauges — a snapshot
+    /// (per-worker busy seconds and cells as gauges — a snapshot
     /// replaces the previous one). No-op while metrics are disabled.
     pub fn publish(&self) {
         if !rbr_obs::metrics::enabled() {
@@ -584,9 +433,6 @@ impl PoolMetrics {
         }
         for (w, cells) in self.cells_executed.iter().enumerate() {
             rbr_obs::metrics::gauge(&format!("exec.pool.worker{w}.cells")).set(*cells as f64);
-        }
-        for (w, stolen) in self.cells_stolen.iter().enumerate() {
-            rbr_obs::metrics::gauge(&format!("exec.pool.worker{w}.stolen")).set(*stolen as f64);
         }
     }
 }
@@ -640,16 +486,12 @@ pub fn with_pool<R>(pool: &Pool, f: impl FnOnce() -> R) -> R {
 }
 
 /// The pool a fold uses on this thread: the innermost [`with_pool`]
-/// override, else the pool whose worker is running this thread, else the
-/// global pool.
+/// override (on a worker, its own pool at the least), else the global
+/// pool.
 fn current_shared() -> Arc<Shared> {
-    if let Some(shared) = CONTEXT.with(|c| c.borrow().last().cloned()) {
-        return shared;
-    }
-    if let Some(shared) = WORKER.with(|cell| cell.borrow().as_ref().map(|(p, _)| Arc::clone(p))) {
-        return shared;
-    }
-    Arc::clone(&global().shared)
+    CONTEXT
+        .with(|c| c.borrow().last().cloned())
+        .unwrap_or_else(|| Arc::clone(&global().shared))
 }
 
 /// Streams `f` over `items` on the current pool (see [`with_pool`]): each
@@ -657,7 +499,9 @@ fn current_shared() -> Arc<Shared> {
 /// bounded reorder window — so a fold over N cells holds O(window)
 /// results, not O(N). Delivery is bit-identical to the serial loop for
 /// any job count. `sink` runs under the fold's internal lock and must not
-/// submit pool work.
+/// submit pool work. The first panic of a cell or of `sink` is re-raised
+/// here once every lane has left the fold; after a cell panics the other
+/// cells still run and are delivered, after `sink` panics none are.
 pub fn map_fold<T, R, F, S>(items: Vec<T>, f: F, sink: S)
 where
     T: Send,
@@ -899,5 +743,73 @@ mod tests {
         let second = configure(7);
         assert!(!second || first, "second configure cannot win");
         assert!(global().jobs() >= 1);
+    }
+
+    #[test]
+    fn a_sink_panic_reaches_the_caller_for_every_job_count() {
+        for jobs in [1, 2, 3] {
+            // The fold runs on its own thread so that a hang fails the
+            // watchdog below instead of stalling the suite.
+            let (tx, rx) = std::sync::mpsc::channel();
+            let fold = std::thread::spawn(move || {
+                let pool = Pool::new(jobs);
+                let result = catch_unwind(AssertUnwindSafe(|| {
+                    with_pool(&pool, || {
+                        map_fold(
+                            (0..200usize).collect(),
+                            |_, i| i,
+                            |i, _| {
+                                if i == 3 {
+                                    panic!("sink exploded at cell 3");
+                                }
+                            },
+                        )
+                    })
+                }));
+                let _ = tx.send(result.map_err(|p| p.downcast::<&str>().map(|s| *s).ok()));
+            });
+            let got = rx
+                .recv_timeout(Duration::from_secs(20))
+                .unwrap_or_else(|_| panic!("jobs = {jobs}: the fold hung after its sink panicked"));
+            assert_eq!(got, Err(Some("sink exploded at cell 3")), "jobs = {jobs}");
+            fold.join().unwrap();
+        }
+    }
+
+    #[test]
+    fn a_nested_fold_runs_its_cells_in_parallel() {
+        // Cell 1 of the outer fold runs a nested fold whose two cells
+        // wait, with a bounded spin, until both have started. Pool::new(3)
+        // has two workers, so however the outer cells are claimed one
+        // worker is free to take the nested fold's helper.
+        let pool = Pool::new(3);
+        let entered = AtomicUsize::new(0);
+        let together = collect_on(&pool, vec![0, 1], |_, cell| {
+            if cell == 0 {
+                return true;
+            }
+            let mut both = true;
+            fold_cells(
+                2,
+                |_| {
+                    entered.fetch_add(1, Ordering::SeqCst);
+                    let deadline = Instant::now() + Duration::from_secs(10);
+                    while entered.load(Ordering::SeqCst) < 2 {
+                        if Instant::now() > deadline {
+                            return false;
+                        }
+                        std::thread::yield_now();
+                    }
+                    true
+                },
+                |_, met| both &= met,
+            );
+            both
+        });
+        assert_eq!(
+            together,
+            vec![true, true],
+            "the nested cells never ran together"
+        );
     }
 }

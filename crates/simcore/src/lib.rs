@@ -15,7 +15,7 @@
 //! * **Reproducible parallel replication** — independent random streams are
 //!   derived from a master seed with a SplitMix64 mixer, so replication `k`
 //!   of an experiment produces identical results whether replications run
-//!   sequentially or as cells on the `rbr-exec` work-stealing pool.
+//!   sequentially or as cells on the `rbr-exec` self-scheduling pool.
 //!
 //! ```
 //! use rbr_simcore::{Engine, SimTime, Duration};
