@@ -4,6 +4,7 @@
 //! writes the comparison to `BENCH_exec.json` at the repository root
 //! (so later changes can track the speedup).
 
+use std::path::Path;
 use std::time::Instant;
 
 use rbr::experiments::campaign::{run, Plan, RunOptions};
@@ -59,15 +60,29 @@ fn fold_payload(hash: &mut u64, payload: &str) {
     }
 }
 
+/// Runs of each wide-campaign phase behind its column, each in fresh
+/// journal and cache directories; odd, so the median is one run's time.
+/// One run swings by an order of magnitude with the filesystem's recent
+/// history, so a single run can neither show nor hide a regression.
+const WIDE_REPS: usize = 5;
+
+/// The median of an odd number of `values`.
+fn median(mut values: Vec<f64>) -> f64 {
+    values.sort_by(f64::total_cmp);
+    values[values.len() / 2]
+}
+
 /// Times a wide synthetic campaign (10⁴ cells; 10⁵ under
 /// `RBR_BENCH_QUICK=1`, the scale the ROADMAP's million-cell target is
 /// anchored against) through the full journal + cache machinery, three
 /// ways: streaming with a cold cache, streaming with a warm cache
 /// (every cell a verified hit), and materializing via [`run`]'s
-/// collecting sink. Records wall-clock per phase and the peak-RSS
-/// trajectory — the streaming phases leave VmHWM at the baseline while
-/// the materialized outcome vector shows up as a step — and returns the
-/// JSON fields for `BENCH_exec.json`.
+/// collecting sink. Each phase runs [`WIDE_REPS`] times and its column
+/// is the median wall-clock. The peak-RSS trajectory is read after all
+/// streaming runs and again after all materializing runs — the
+/// streaming phases leave VmHWM near the baseline while the
+/// materialized outcome vector shows up as a step. Returns the JSON
+/// fields for `BENCH_exec.json`.
 fn record_wide_campaign() -> String {
     let quick = std::env::var("RBR_BENCH_QUICK").as_deref() == Ok("1");
     let wide_cells: usize = if quick { 100_000 } else { 10_000 };
@@ -77,92 +92,110 @@ fn record_wide_campaign() -> String {
         .map(|i| CellSpec::new(format!("wide-{i:06}")))
         .collect();
     let manifest = format!("bench wide campaign v1 cells={wide_cells}");
-    let options = |journal: &str, cache: &str| CampaignOptions {
-        dir: Some(root.join(journal)),
+    let options = |journal: &Path, cache: &Path| CampaignOptions {
+        dir: Some(journal.to_path_buf()),
         resume: false,
         cell_budget: None,
         manifest: manifest.clone(),
-        cache: Some(root.join(cache)),
+        cache: Some(cache.to_path_buf()),
         segment_records: None,
     };
     let pool = Pool::new(4);
     let rss_baseline_kb = peak_rss_kb();
 
-    // Phase 1 — streaming, cold cache: executes every cell, folds each
-    // payload into a 64-bit checksum, holds no outcome vector.
-    let mut streamed_hash = 0xcbf2_9ce4_8422_2325u64;
-    let started = Instant::now();
-    let stats = with_pool(&pool, || {
-        rbr_exec::run_streaming(
-            &cells,
-            &options("journal-stream", "cache"),
-            |i, _| wide_payload(i),
-            |outcome: CellOutcome| {
-                fold_payload(&mut streamed_hash, &outcome.payload);
-                Ok(())
-            },
-            &|_| {},
-        )
-    })
-    .expect("wide streaming campaign");
-    let streaming_secs = started.elapsed().as_secs_f64();
-    assert!(stats.complete && stats.cache_hits == 0);
+    // Streams the campaign into `journal` over `cache`, folding each
+    // payload into a 64-bit checksum and holding no outcome vector;
+    // returns its stats, the checksum and its wall-clock.
+    let stream = |journal: &Path, cache: &Path| {
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        let started = Instant::now();
+        let stats = with_pool(&pool, || {
+            rbr_exec::run_streaming(
+                &cells,
+                &options(journal, cache),
+                |i, _| wide_payload(i),
+                |outcome: CellOutcome| {
+                    fold_payload(&mut hash, &outcome.payload);
+                    Ok(())
+                },
+                &|_| {},
+            )
+        })
+        .expect("wide streaming campaign");
+        (stats, hash, started.elapsed().as_secs_f64())
+    };
+
+    // Phases 1 and 2 of each repetition. Streaming, cold cache: executes
+    // every cell. Streaming, warm cache: a fresh journal over the same
+    // manifest and the cache phase 1 filled, so every cell is a verified
+    // cache hit.
+    let (mut streaming, mut warm_cache) = (Vec::new(), Vec::new());
+    let mut streamed_hash = None;
+    for rep in 0..WIDE_REPS {
+        let dir = root.join(format!("stream-{rep}"));
+        let cache = dir.join("cache");
+        let (cold, hash, secs) = stream(&dir.join("journal-stream"), &cache);
+        streaming.push(secs);
+        assert!(cold.complete && cold.cache_hits == 0);
+        let (warm, warm_hash, secs) = stream(&dir.join("journal-warm"), &cache);
+        warm_cache.push(secs);
+        assert!(warm.complete && warm.cache_hits == wide_cells);
+        assert_eq!(warm_hash, hash, "cache hits must replay bytes");
+        assert_eq!(
+            *streamed_hash.get_or_insert(hash),
+            hash,
+            "same cells, same bytes"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
     let rss_streaming_kb = peak_rss_kb();
 
-    // Phase 2 — streaming, warm cache: a fresh journal over the same
-    // manifest, so every cell is a verified cache hit.
-    let mut warm_hash = 0xcbf2_9ce4_8422_2325u64;
-    let started = Instant::now();
-    let warm = with_pool(&pool, || {
-        rbr_exec::run_streaming(
-            &cells,
-            &options("journal-warm", "cache"),
-            |i, _| wide_payload(i),
-            |outcome: CellOutcome| {
-                fold_payload(&mut warm_hash, &outcome.payload);
-                Ok(())
-            },
-            &|_| {},
-        )
-    })
-    .expect("wide warm-cache campaign");
-    let warm_cache_secs = started.elapsed().as_secs_f64();
-    assert!(warm.complete && warm.cache_hits == wide_cells);
-    assert_eq!(warm_hash, streamed_hash, "cache hits must replay bytes");
-
     // Phase 3 — materializing (last: VmHWM is monotone, and only this
-    // phase's footprint grows with cell count). Cold cache directory so
-    // its wall-clock is apples-to-apples with phase 1.
-    let started = Instant::now();
-    let result = with_pool(&pool, || {
-        rbr_exec::campaign::run(
-            &cells,
-            &options("journal-mat", "cache-mat"),
-            |i, _| wide_payload(i),
-            &|_| {},
-        )
-    })
-    .expect("wide materializing campaign");
-    let materialize_secs = started.elapsed().as_secs_f64();
-    assert!(result.complete);
-    let mut materialized_hash = 0xcbf2_9ce4_8422_2325u64;
-    for outcome in &result.outcomes {
-        fold_payload(&mut materialized_hash, &outcome.payload);
+    // phase's footprint grows with cell count). Cold cache directories,
+    // so its wall-clock is apples-to-apples with phase 1.
+    let mut materialize = Vec::new();
+    for rep in 0..WIDE_REPS {
+        let dir = root.join(format!("materialize-{rep}"));
+        let started = Instant::now();
+        let result = with_pool(&pool, || {
+            rbr_exec::campaign::run(
+                &cells,
+                &options(&dir.join("journal"), &dir.join("cache")),
+                |i, _| wide_payload(i),
+                &|_| {},
+            )
+        })
+        .expect("wide materializing campaign");
+        materialize.push(started.elapsed().as_secs_f64());
+        assert!(result.complete);
+        let mut materialized_hash = 0xcbf2_9ce4_8422_2325u64;
+        for outcome in &result.outcomes {
+            fold_payload(&mut materialized_hash, &outcome.payload);
+        }
+        assert_eq!(
+            Some(materialized_hash),
+            streamed_hash,
+            "same cells, same bytes"
+        );
+        drop(result);
+        let _ = std::fs::remove_dir_all(&dir);
     }
-    assert_eq!(materialized_hash, streamed_hash, "same cells, same bytes");
     let rss_materialize_kb = peak_rss_kb();
-    drop(result);
     let _ = std::fs::remove_dir_all(&root);
 
     let kb = |v: Option<u64>| v.map_or("null".to_string(), |kb| kb.to_string());
     format!(
         "\"wide_cells\":{wide_cells},\
-         \"wide_streaming_secs\":{streaming_secs:.3},\
-         \"wide_warm_cache_secs\":{warm_cache_secs:.3},\
-         \"wide_materialize_secs\":{materialize_secs:.3},\
+         \"wide_reps\":{WIDE_REPS},\
+         \"wide_streaming_secs\":{:.3},\
+         \"wide_warm_cache_secs\":{:.3},\
+         \"wide_materialize_secs\":{:.3},\
          \"wide_rss_baseline_kb\":{},\
          \"wide_rss_streaming_kb\":{},\
          \"wide_rss_materialize_kb\":{}",
+        median(streaming),
+        median(warm_cache),
+        median(materialize),
         kb(rss_baseline_kb),
         kb(rss_streaming_kb),
         kb(rss_materialize_kb),
@@ -216,9 +249,7 @@ fn record_speedup(wide: &str) {
     let _ = std::fs::remove_file(&trace_path);
     let fastest = |secs: &[f64]| secs.iter().copied().fold(f64::INFINITY, f64::min);
     let (serial_secs, obs_enabled_secs) = (fastest(&plain), fastest(&observed));
-    let mut ratios: Vec<f64> = observed.iter().zip(&plain).map(|(o, p)| o / p).collect();
-    ratios.sort_by(f64::total_cmp);
-    let obs_overhead = ratios[OBS_PAIRS / 2] - 1.0;
+    let obs_overhead = median(observed.iter().zip(&plain).map(|(o, p)| o / p).collect()) - 1.0;
     let (jobs2_secs, _) = time_campaign(&Pool::new(2), &plan);
     let (jobs4_secs, _) = time_campaign(&Pool::new(4), &plan);
 

@@ -26,12 +26,17 @@
 //!
 //! Each job's copy plans take one block of the plan arena, as many
 //! entries as it plans copies, from a free list kept per block length.
-//! The on-start race returns the block when the job completes: its
-//! siblings were cancelled or revoked when it started, so no queue,
-//! worklist or event names its copies any more. A run's plan memory
-//! therefore follows the jobs in the system, not every copy it ever
-//! submitted. Faulty and completion-race runs keep every block, because
-//! a stale event can still name a killed copy.
+//! Faulty and completion-race runs keep each copy's state at the same
+//! offset of a copy-state arena. The driver counts, per job, everything
+//! that can still reach its block: engine events that name the job
+//! (stale ones included), its ops in the open cancel batch, and its
+//! copies in a scheduler's queue or start worklist. Once the job is
+//! done and the count falls to zero, the block goes back on its free
+//! list, and the next job that plans as many copies takes it. In the
+//! on-start race that is the job's completion; under faulty middleware
+//! it waits for the job's zombies and stale messages. A run's memory
+//! therefore follows the copies still live, not every copy it ever
+//! planned.
 //!
 //! Targets are indices into a [`SchedulerSet`]: independent clusters for
 //! the multi-cluster variant, priority queues for the dual-queue
@@ -281,6 +286,17 @@ impl Event {
             Event::CancelFlush { .. } => "cancel-flush",
         }
     }
+
+    /// The job whose block a scheduled event holds: every event that
+    /// names a copy. An arrival is delivered from [`Arrivals`], before
+    /// its job has a block.
+    fn job(self) -> Option<usize> {
+        match self {
+            Event::Complete(rid) => Some(unpack(rid).0),
+            Event::DeliverSubmit { job, .. } | Event::DeliverCancel { job, .. } => Some(job),
+            Event::Submit(_) | Event::OutageDown { .. } | Event::CancelFlush { .. } => None,
+        }
+    }
 }
 
 /// The request id of job `job`'s copy `copy` on its `count`-th
@@ -303,30 +319,40 @@ fn unpack(rid: RequestId) -> (usize, usize, u16) {
 }
 
 /// Lifecycle of one copy under faulty middleware.
-#[derive(Clone, Copy, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum CopyPhase {
     /// Submit message travelling (or awaiting an outage recovery).
     InFlight,
     /// Waiting in a scheduler's queue.
     Queued,
-    /// Granted nodes and executing since `start`.
-    Running {
-        /// Execution start instant.
-        start: SimTime,
-    },
+    /// Granted nodes and executing since [`CopyState::start`].
+    Running,
     /// Cancel overtook the submit; discarded on delivery.
     Doomed,
     /// Cancelled, killed, dropped, or finished.
     Dead,
 }
 
-/// One copy of a job under faulty middleware or in the completion race.
+/// One copy of a job under faulty middleware or in the completion race,
+/// in 16 bytes.
 #[derive(Clone, Copy, Debug)]
 struct CopyState {
     phase: CopyPhase,
     /// Times the copy was submitted to its scheduler. While it is queued
     /// or running, it holds the request `request_id(job, copy, subs - 1)`.
     subs: u16,
+    /// Execution start instant while [`CopyPhase::Running`].
+    start: SimTime,
+}
+
+impl CopyState {
+    /// A copy whose submit message is on its way: every copy's state
+    /// when its job takes a block.
+    const SENT: CopyState = CopyState {
+        phase: CopyPhase::InFlight,
+        subs: 0,
+        start: SimTime::ZERO,
+    };
 }
 
 /// A [`CopyPlan`] as the plan arena stores it: the target narrowed to
@@ -361,45 +387,64 @@ impl From<PlanEntry> for CopyPlan {
     }
 }
 
-/// Mutable per-job state, allocated by [`SimDriver::run`].
+/// Mutable per-job state, allocated by [`SimDriver::run`]: 56 bytes.
 ///
 /// Per-job collections live in the driver's flat arenas (copy plans and
 /// copy states share offsets), so a job's state is a fixed-size record
 /// and the race/cancel/revoke path allocates nothing per copy.
 #[derive(Clone, Copy, Debug, Default)]
 struct JobState {
-    started: Option<(usize, SimTime)>,
+    /// When the job started; cleared when an outage or a stale cancel
+    /// kills the winner under faulty middleware.
+    started: Option<SimTime>,
     redundant: bool,
     predicted_wait: Option<Duration>,
     done: bool,
-    /// Index of the copy whose start committed the job (faulty runs).
-    winner: Option<usize>,
-    /// This job's block of the plan arena (and, in faulty and
-    /// completion-race runs, of the copy-state arena: both are appended
-    /// at arrival, so the offsets coincide), one entry per planned copy.
+    /// Index of the copy whose start committed the job (faulty runs);
+    /// copy indices fit in 16 bits, as [`request_id`] checks.
+    winner: Option<u16>,
+    /// This job's block of the [`PlanArena`], one entry per planned copy.
     plan_first: u32,
     block_len: u32,
     /// Copies submitted: in the on-start race the copies before the
-    /// first start, elsewhere every planned copy.
+    /// first start, elsewhere every planned copy; 0 once the block is
+    /// returned.
     plan_len: u32,
+    /// Engine events, open cancel-batch ops and scheduler-held copies
+    /// that name the job: the block is returned when the job is done and
+    /// this falls to 0.
+    refs: u32,
 }
 
-/// The flat copy-plan arena, carved into per-job blocks. A returned
-/// block goes on the free list for its length, and the next job that
-/// plans as many copies takes it back.
+/// The flat copy-plan arena, carved into per-job blocks, with the copy
+/// states of faulty and completion-race runs at the same offsets. A
+/// returned block goes on the free list for its length, and the next
+/// job that plans as many copies takes it back.
 #[derive(Default)]
 struct PlanArena {
     entries: Vec<PlanEntry>,
+    /// One state per entry when the run tracks copies, else empty.
+    copies: Vec<CopyState>,
+    tracks_copies: bool,
     /// First entries of the free blocks, indexed by block length.
     free: Vec<Vec<u32>>,
 }
 
 impl PlanArena {
+    /// An empty arena; `tracks_copies` keeps a [`CopyState`] per entry.
+    fn new(tracks_copies: bool) -> Self {
+        PlanArena {
+            tracks_copies,
+            ..PlanArena::default()
+        }
+    }
+
     /// Stores `plans` in a free block of their length, or in a new one
-    /// at the end of the arena, and returns its first entry.
+    /// at the end of the arena, sets their copies' states (if tracked) to
+    /// [`CopyState::SENT`] and returns the block's first entry.
     fn take(&mut self, plans: &[CopyPlan]) -> u32 {
         let entries = plans.iter().map(|&plan| PlanEntry::from(plan));
-        match self.free.get_mut(plans.len()).and_then(Vec::pop) {
+        let first = match self.free.get_mut(plans.len()).and_then(Vec::pop) {
             Some(first) => {
                 let block = &mut self.entries[first as usize..][..plans.len()];
                 for (slot, entry) in block.iter_mut().zip(entries) {
@@ -412,7 +457,12 @@ impl PlanArena {
                 self.entries.extend(entries);
                 first
             }
+        };
+        if self.tracks_copies {
+            self.copies.resize(self.entries.len(), CopyState::SENT);
+            self.copies[first as usize..][..plans.len()].fill(CopyState::SENT);
         }
+        first
     }
 
     /// Puts the block of `len` entries at `first` on its free list.
@@ -422,6 +472,15 @@ impl PlanArena {
             self.free.resize_with(len + 1, Vec::new);
         }
         self.free[len].push(first);
+    }
+
+    /// Entries in free blocks: all of them once every block is back.
+    fn free_entries(&self) -> usize {
+        self.free
+            .iter()
+            .enumerate()
+            .map(|(len, firsts)| len * firsts.len())
+            .sum()
     }
 }
 
@@ -468,12 +527,9 @@ pub struct SimDriver<P: SubmissionProtocol> {
     engine: Engine<Event>,
     arrivals: Arrivals,
     scheds: Box<dyn SchedulerSet>,
-    /// Copy-plan arena; job `j`'s plans are the block of `block_len`
-    /// entries at `plan_first` recorded in its [`JobState`].
+    /// Copy-plan and copy-state arena; job `j`'s copies are the block of
+    /// `block_len` entries at `plan_first` recorded in its [`JobState`].
     plans: PlanArena,
-    /// Flat copy-state arena (faulty and completion-race runs), sharing
-    /// the plan arena's per-job offsets.
-    copy_arena: Vec<CopyState>,
     /// Scratch handed to [`SubmissionProtocol::place_into`], reused
     /// across submits.
     plan_buf: Vec<CopyPlan>,
@@ -574,6 +630,7 @@ impl<P: SubmissionProtocol> SimDriver<P> {
         if let Some(obs) = &observer {
             scheds.attach_observer(obs.clone());
         }
+        let cancel_on_completion = protocol.cancel_mode() == CancelMode::OnCompletion;
         SimDriver {
             result: RunResult {
                 max_queue_len: vec![0; n_targets],
@@ -583,8 +640,7 @@ impl<P: SubmissionProtocol> SimDriver<P> {
             engine,
             arrivals: Arrivals::new(&protocol),
             scheds,
-            plans: PlanArena::default(),
-            copy_arena: Vec::new(),
+            plans: PlanArena::new(faults.is_some() || cancel_on_completion),
             plan_buf: Vec::new(),
             states: Vec::new(),
             rng,
@@ -592,7 +648,7 @@ impl<P: SubmissionProtocol> SimDriver<P> {
             scratch: Vec::new(),
             worklist: VecDeque::new(),
             collect_predictions,
-            cancel_on_completion: protocol.cancel_mode() == CancelMode::OnCompletion,
+            cancel_on_completion,
             faults,
             outage_until: vec![SimTime::ZERO; n_targets],
             cancel_buf: Vec::new(),
@@ -605,8 +661,8 @@ impl<P: SubmissionProtocol> SimDriver<P> {
 
     /// Runs the simulation to completion and returns the results. The
     /// job states and records are allocated here, and the plan arena
-    /// grows to the most jobs in the system at once: the on-start race
-    /// reuses a completed job's block for a later job.
+    /// grows to the most blocks held at once: a job's block goes to a
+    /// later job once nothing names the job's copies.
     ///
     /// # Panics
     /// Panics if any job fails to start or complete — that would be a
@@ -630,6 +686,13 @@ impl<P: SubmissionProtocol> SimDriver<P> {
             if let Some(obs) = &self.observer {
                 obs.borrow_mut().on_event(now, event.kind());
             }
+            let job = event.job();
+            if let Some(j) = job {
+                debug_assert!(
+                    self.states[j].refs > 0,
+                    "{event:?} names job {j}, whose block was returned"
+                );
+            }
             match event {
                 Event::Submit(j) => self.handle_submit(now, j, sampled),
                 Event::Complete(rid) => self.handle_complete(now, rid),
@@ -639,6 +702,9 @@ impl<P: SubmissionProtocol> SimDriver<P> {
                     self.handle_outage_down(now, cluster, recover)
                 }
                 Event::CancelFlush { serial } => self.handle_cancel_flush(now, serial),
+            }
+            if let Some(j) = job {
+                self.drop_ref(j);
             }
             if let (Some(phases), Some(t0), Some(t1)) = (self.phases.as_mut(), pop_t0, handler_t0) {
                 phases.queue_ops += (t1 - t0).as_secs_f64();
@@ -656,6 +722,16 @@ impl<P: SubmissionProtocol> SimDriver<P> {
             .enumerate()
             .map(|(j, r)| r.unwrap_or_else(|| panic!("job {j} never completed")))
             .collect();
+        // Every job is done, so once nothing names it its block is back.
+        debug_assert!(
+            self.states.iter().all(|s| s.refs == 0),
+            "a job is still named after the last event"
+        );
+        debug_assert_eq!(
+            self.plans.free_entries(),
+            self.plans.entries.len(),
+            "every plan block is back on its free list"
+        );
         if let Some(obs) = &self.observer {
             obs.borrow_mut().on_run_end(&self.result);
         }
@@ -755,12 +831,39 @@ impl<P: SubmissionProtocol> SimDriver<P> {
 
     /// The copy state of job `j`'s copy `copy` (faulty runs).
     fn copy_state(&self, j: usize, copy: usize) -> CopyState {
-        self.copy_arena[self.states[j].plan_first as usize + copy]
+        self.plans.copies[self.states[j].plan_first as usize + copy]
     }
 
     /// Mutable copy state of job `j`'s copy `copy` (faulty runs).
     fn copy_mut(&mut self, j: usize, copy: usize) -> &mut CopyState {
-        &mut self.copy_arena[self.states[j].plan_first as usize + copy]
+        &mut self.plans.copies[self.states[j].plan_first as usize + copy]
+    }
+
+    /// Counts one more thing that names job `j`: a scheduled event, an
+    /// op in the open cancel batch, or a copy in a scheduler's queue.
+    fn add_ref(&mut self, j: usize) {
+        self.states[j].refs += 1;
+    }
+
+    /// Drops one of job `j`'s references. The last one of a done job
+    /// returns its block, and the job then reads as holding no copies,
+    /// so no scan touches a block another job may take.
+    fn drop_ref(&mut self, j: usize) {
+        let state = &mut self.states[j];
+        state.refs -= 1;
+        if state.refs == 0 && state.done {
+            self.plans.give_back(state.plan_first, state.block_len);
+            state.plan_len = 0;
+        }
+    }
+
+    /// Schedules `event` at `at`, counting a reference to the job it
+    /// names until it is handled.
+    fn schedule(&mut self, at: SimTime, event: Event) {
+        if let Some(j) = event.job() {
+            self.add_ref(j);
+        }
+        self.engine.schedule(at, event);
     }
 
     /// The request job `j`'s copy `copy` holds while queued or running
@@ -771,14 +874,22 @@ impl<P: SubmissionProtocol> SimDriver<P> {
         request_id(j, copy, subs - 1)
     }
 
-    /// The phase of `rid`'s copy while the copy still holds `rid`, its
+    /// The state of `rid`'s copy while the copy still holds `rid`, its
     /// latest submission; `None` once it was submitted again (faulty and
     /// completion-race runs). A `Complete` whose copy is not running
     /// under its id is stale: the copy was killed since.
-    fn phase_under(&self, rid: RequestId) -> Option<CopyPhase> {
+    fn state_under(&self, rid: RequestId) -> Option<CopyState> {
         let (j, copy, count) = unpack(rid);
         let cs = self.copy_state(j, copy);
-        (cs.subs == count + 1).then_some(cs.phase)
+        (cs.subs == count + 1).then_some(cs)
+    }
+
+    /// The start of `rid`'s copy if it still runs under `rid`: `None`
+    /// makes a `Complete` stale.
+    fn running_since(&self, rid: RequestId) -> Option<SimTime> {
+        self.state_under(rid)
+            .filter(|cs| cs.phase == CopyPhase::Running)
+            .map(|cs| cs.start)
     }
 
     fn handle_submit(&mut self, now: SimTime, j: usize, sampled: bool) {
@@ -816,19 +927,13 @@ impl<P: SubmissionProtocol> SimDriver<P> {
         }
         if self.cancel_on_completion {
             // Completion race: every copy is submitted and may execute,
-            // so copy states live in the shared arena (as in faulty
-            // runs) — per-copy phases matter even with perfect messaging.
-            debug_assert_eq!(
-                self.copy_arena.len(),
-                self.states[j].plan_first as usize,
-                "copy arena must share the plan arena's offsets"
-            );
+            // so copy states are tracked (as in faulty runs) — per-copy
+            // phases matter even with perfect messaging.
             for copy in 0..self.states[j].plan_len as usize {
                 self.submit_copy(now, j, copy, 0);
-                self.copy_arena.push(CopyState {
-                    phase: CopyPhase::Queued,
-                    subs: 1,
-                });
+                let cs = self.copy_mut(j, copy);
+                cs.phase = CopyPhase::Queued;
+                cs.subs = 1;
             }
             self.commit_starts(now);
             return;
@@ -849,11 +954,14 @@ impl<P: SubmissionProtocol> SimDriver<P> {
 
     /// Submits job `j`'s copy `copy` to its target under its `count`-th
     /// resubmission's id, queues the starts it triggers, and folds its
-    /// wait forecast.
+    /// wait forecast. The copy names its job until it leaves the
+    /// scheduler's queue: granted (popped from the worklist), cancelled
+    /// or evaporated in an outage.
     fn submit_copy(&mut self, now: SimTime, j: usize, copy: usize, count: u16) {
         let plan = self.plan(j, copy);
         let rid = request_id(j, copy, count);
         let req = Request::new(rid, plan.nodes, plan.estimate, now);
+        self.add_ref(j);
         self.result.submits += 1;
         self.scratch.clear();
         self.scheds.submit(now, plan.target, req, &mut self.scratch);
@@ -896,6 +1004,7 @@ impl<P: SubmissionProtocol> SimDriver<P> {
         let cancelled = self.scheds.cancel(now, target, rid, &mut self.scratch);
         if cancelled {
             self.result.cancels += 1;
+            self.drop_ref(unpack(rid).0);
         }
         self.worklist.extend(self.scratch.drain(..));
         self.note_queue(target);
@@ -953,12 +1062,8 @@ impl<P: SubmissionProtocol> SimDriver<P> {
         let (j, copy, _) = unpack(rid);
         let plan = self.plan(j, copy);
         let state = self.states[j];
-        let (target, start) = state.started.expect("completing job must have started");
-        debug_assert_eq!(target, plan.target);
+        let start = state.started.expect("completing job must have started");
         self.record_job(now, j, plan, start, state.plan_len);
-        // The job's siblings were cancelled or revoked when it started,
-        // so nothing names its copies any more: its block is free.
-        self.plans.give_back(state.plan_first, state.block_len);
         self.release(now, plan.target, rid);
         self.commit_starts(now);
     }
@@ -967,7 +1072,7 @@ impl<P: SubmissionProtocol> SimDriver<P> {
     /// of a job to finish wins; queued losers are cancelled, running
     /// losers are killed and their partial work accounted as waste.
     fn handle_complete_racing(&mut self, now: SimTime, rid: RequestId) {
-        let Some(CopyPhase::Running { start }) = self.phase_under(rid) else {
+        let Some(start) = self.running_since(rid) else {
             // A loser killed at the winner's completion; its engine
             // event is stale.
             return;
@@ -995,7 +1100,7 @@ impl<P: SubmissionProtocol> SimDriver<P> {
                         self.copy_mut(j, loser).phase = CopyPhase::Dead;
                     }
                 }
-                CopyPhase::Running { start } => self.kill(now, j, loser, start),
+                CopyPhase::Running => self.kill(now, j, loser, cs.start),
                 CopyPhase::Dead => {}
                 phase => unreachable!("perfect racing copy in phase {phase:?}"),
             }
@@ -1010,7 +1115,7 @@ impl<P: SubmissionProtocol> SimDriver<P> {
     fn commit_starts_racing(&mut self, now: SimTime) {
         while let Some(rid) = self.worklist.pop_front() {
             debug_assert_eq!(
-                self.phase_under(rid),
+                self.state_under(rid).map(|cs| cs.phase),
                 Some(CopyPhase::Queued),
                 "granted {rid}"
             );
@@ -1022,27 +1127,29 @@ impl<P: SubmissionProtocol> SimDriver<P> {
                 self.result.aborts += 1;
                 self.copy_mut(j, copy).phase = CopyPhase::Dead;
                 self.release(now, plan.target, rid);
-                self.note_queue(plan.target);
-                continue;
+            } else {
+                self.start_copy(now, j, copy);
+                if self.states[j].started.is_none() {
+                    self.states[j].started = Some(now);
+                }
+                self.schedule(now + plan.runtime, Event::Complete(rid));
             }
-            self.copy_mut(j, copy).phase = CopyPhase::Running { start: now };
-            if self.states[j].started.is_none() {
-                self.states[j].started = Some((plan.target, now));
-            }
-            self.engine
-                .schedule(now + plan.runtime, Event::Complete(rid));
             self.note_queue(plan.target);
+            // The grant took the copy out of its scheduler's queue.
+            self.drop_ref(j);
         }
+    }
+
+    /// Job `j`'s copy `copy` starts running at `now`.
+    fn start_copy(&mut self, now: SimTime, j: usize, copy: usize) {
+        let cs = self.copy_mut(j, copy);
+        cs.phase = CopyPhase::Running;
+        cs.start = now;
     }
 
     /// Faulty middleware: turns each copy of job `j` into a submit
     /// message routed through the [`FaultModel`].
     fn dispatch_faulty_submits(&mut self, now: SimTime, j: usize) {
-        debug_assert_eq!(
-            self.copy_arena.len(),
-            self.states[j].plan_first as usize,
-            "copy arena must share the plan arena's offsets"
-        );
         for copy in 0..self.states[j].plan_len as usize {
             // Copy 0 is the home submission: it escalates to guaranteed
             // delivery after the retry budget, so no job can vanish.
@@ -1052,18 +1159,13 @@ impl<P: SubmissionProtocol> SimDriver<P> {
                 .expect("faulty dispatch requires a fault model")
                 .plan_submit(now, copy == 0);
             self.result.lost_submits += plan.lost_attempts as u64;
-            let phase = match plan.delivery {
-                Some(at) => {
-                    self.engine
-                        .schedule(at, Event::DeliverSubmit { job: j, copy });
-                    CopyPhase::InFlight
-                }
+            match plan.delivery {
+                Some(at) => self.schedule(at, Event::DeliverSubmit { job: j, copy }),
                 None => {
                     self.result.dropped_copies += 1;
-                    CopyPhase::Dead
+                    self.copy_mut(j, copy).phase = CopyPhase::Dead;
                 }
-            };
-            self.copy_arena.push(CopyState { phase, subs: 0 });
+            }
         }
     }
 
@@ -1073,8 +1175,7 @@ impl<P: SubmissionProtocol> SimDriver<P> {
         if now < self.outage_until[c] {
             // The target is down: the middleware holds the message and
             // re-delivers at recovery.
-            self.engine
-                .schedule(self.outage_until[c], Event::DeliverSubmit { job: j, copy });
+            self.schedule(self.outage_until[c], Event::DeliverSubmit { job: j, copy });
             return;
         }
         match self.copy_state(j, copy).phase {
@@ -1095,12 +1196,11 @@ impl<P: SubmissionProtocol> SimDriver<P> {
         }
         let subs = self.copy_state(j, copy).subs;
         self.submit_copy(now, j, copy, subs);
-        *self.copy_mut(j, copy) = CopyState {
-            phase: CopyPhase::Queued,
-            subs: subs
-                .checked_add(1)
-                .expect("copy submission count fits in 16 bits"),
-        };
+        let cs = self.copy_mut(j, copy);
+        cs.phase = CopyPhase::Queued;
+        cs.subs = subs
+            .checked_add(1)
+            .expect("copy submission count fits in 16 bits");
         self.commit_starts(now);
     }
 
@@ -1109,7 +1209,7 @@ impl<P: SubmissionProtocol> SimDriver<P> {
         let target = self.plan(j, copy).target;
         let cs = self.copy_state(j, copy);
         if now < self.outage_until[target] {
-            self.engine.schedule(
+            self.schedule(
                 self.outage_until[target],
                 Event::DeliverCancel { job: j, copy },
             );
@@ -1125,10 +1225,10 @@ impl<P: SubmissionProtocol> SimDriver<P> {
                 self.copy_mut(j, copy).phase = CopyPhase::Dead;
                 self.commit_starts(now);
             }
-            CopyPhase::Running { start } => {
-                self.kill(now, j, copy, start);
+            CopyPhase::Running => {
+                self.kill(now, j, copy, cs.start);
                 let stale_winner_killed =
-                    self.states[j].winner == Some(copy) && !self.states[j].done;
+                    self.states[j].winner == Some(copy as u16) && !self.states[j].done;
                 if stale_winner_killed {
                     // A stale cancel (sent before an outage restarted the
                     // race) caught up with the copy that is now the
@@ -1144,8 +1244,7 @@ impl<P: SubmissionProtocol> SimDriver<P> {
                     self.result.lost_submits += plan.lost_attempts as u64;
                     let at = plan.delivery.expect("guaranteed delivery");
                     self.copy_mut(j, copy).phase = CopyPhase::InFlight;
-                    self.engine
-                        .schedule(at, Event::DeliverSubmit { job: j, copy });
+                    self.schedule(at, Event::DeliverSubmit { job: j, copy });
                 }
                 self.commit_starts(now);
             }
@@ -1157,7 +1256,7 @@ impl<P: SubmissionProtocol> SimDriver<P> {
     /// of a job to finish completes the job; any later completion is a
     /// zombie whose execution was pure waste.
     fn handle_complete_faulty(&mut self, now: SimTime, rid: RequestId) {
-        let Some(CopyPhase::Running { start }) = self.phase_under(rid) else {
+        let Some(start) = self.running_since(rid) else {
             // Killed earlier (cancel or outage); stale engine event.
             return;
         };
@@ -1198,25 +1297,25 @@ impl<P: SubmissionProtocol> SimDriver<P> {
                 match cs.phase {
                     CopyPhase::Queued => {
                         // Evaporated with the scheduler; the middleware
-                        // notices at recovery and re-delivers.
+                        // notices at recovery and re-delivers, so the
+                        // re-delivery takes the queue slot's reference.
                         self.result.outage_kills += 1;
                         self.copy_mut(j, copy).phase = CopyPhase::InFlight;
-                        self.engine
-                            .schedule(recover, Event::DeliverSubmit { job: j, copy });
+                        self.schedule(recover, Event::DeliverSubmit { job: j, copy });
+                        self.drop_ref(j);
                     }
-                    CopyPhase::Running { start } => {
+                    CopyPhase::Running => {
                         // Its `Complete` goes stale with the phase change.
                         self.result.outage_kills += 1;
                         self.result.wasted_node_secs +=
-                            plan.nodes as f64 * now.since(start).as_secs();
-                        if self.states[j].winner == Some(copy) && !self.states[j].done {
+                            plan.nodes as f64 * now.since(cs.start).as_secs();
+                        if self.states[j].winner == Some(copy as u16) && !self.states[j].done {
                             // The job itself died with the cluster; the
                             // submitter resubmits this copy at recovery.
                             self.states[j].started = None;
                             self.states[j].winner = None;
                             self.copy_mut(j, copy).phase = CopyPhase::InFlight;
-                            self.engine
-                                .schedule(recover, Event::DeliverSubmit { job: j, copy });
+                            self.schedule(recover, Event::DeliverSubmit { job: j, copy });
                         } else {
                             self.copy_mut(j, copy).phase = CopyPhase::Dead;
                         }
@@ -1244,7 +1343,7 @@ impl<P: SubmissionProtocol> SimDriver<P> {
                 continue;
             }
             match self.copy_state(j, copy).phase {
-                CopyPhase::InFlight | CopyPhase::Queued | CopyPhase::Running { .. } => {}
+                CopyPhase::InFlight | CopyPhase::Queued | CopyPhase::Running => {}
                 CopyPhase::Doomed | CopyPhase::Dead => continue,
             }
             if !batch.is_disabled() {
@@ -1257,10 +1356,7 @@ impl<P: SubmissionProtocol> SimDriver<P> {
                 .expect("faulty path has a fault model")
                 .plan_cancel(now);
             match plan.delivery {
-                Some(at) => {
-                    self.engine
-                        .schedule(at, Event::DeliverCancel { job: j, copy });
-                }
+                Some(at) => self.schedule(at, Event::DeliverCancel { job: j, copy }),
                 None => self.result.lost_cancels += 1,
             }
         }
@@ -1284,6 +1380,7 @@ impl<P: SubmissionProtocol> SimDriver<P> {
                 },
             );
         }
+        self.add_ref(j);
         self.cancel_buf.push((j as u32, copy as u32));
         if self.cancel_buf.len() >= batch.size as usize {
             self.flush_cancels(now);
@@ -1301,7 +1398,8 @@ impl<P: SubmissionProtocol> SimDriver<P> {
     /// Dispatches the open cancel transaction as ONE middleware message:
     /// one loss coin, one delay sample, shared by every op it carries
     /// (that is the point of batching — and its failure mode: a lost
-    /// transaction orphans the whole batch).
+    /// transaction orphans the whole batch). Each op's reference passes
+    /// to its delivery, or is dropped with a lost transaction.
     fn flush_cancels(&mut self, now: SimTime) {
         self.cancel_serial += 1;
         if self.cancel_buf.is_empty() {
@@ -1313,20 +1411,15 @@ impl<P: SubmissionProtocol> SimDriver<P> {
             .as_mut()
             .expect("faulty path has a fault model")
             .plan_cancel(now);
-        match plan.delivery {
-            Some(at) => {
-                for i in 0..self.cancel_buf.len() {
-                    let (job, copy) = self.cancel_buf[i];
-                    self.engine.schedule(
-                        at,
-                        Event::DeliverCancel {
-                            job: job as usize,
-                            copy: copy as usize,
-                        },
-                    );
-                }
+        if plan.delivery.is_none() {
+            self.result.lost_cancels += self.cancel_buf.len() as u64;
+        }
+        for i in 0..self.cancel_buf.len() {
+            let (job, copy) = (self.cancel_buf[i].0 as usize, self.cancel_buf[i].1 as usize);
+            if let Some(at) = plan.delivery {
+                self.schedule(at, Event::DeliverCancel { job, copy });
             }
-            None => self.result.lost_cancels += self.cancel_buf.len() as u64,
+            self.drop_ref(job);
         }
         self.cancel_buf.clear();
     }
@@ -1338,15 +1431,14 @@ impl<P: SubmissionProtocol> SimDriver<P> {
     fn commit_starts_faulty(&mut self, now: SimTime) {
         while let Some(rid) = self.worklist.pop_front() {
             debug_assert_eq!(
-                self.phase_under(rid),
+                self.state_under(rid).map(|cs| cs.phase),
                 Some(CopyPhase::Queued),
                 "granted {rid}"
             );
             let (j, copy, _) = unpack(rid);
             let plan = self.plan(j, copy);
-            self.copy_mut(j, copy).phase = CopyPhase::Running { start: now };
-            self.engine
-                .schedule(now + plan.runtime, Event::Complete(rid));
+            self.start_copy(now, j, copy);
+            self.schedule(now + plan.runtime, Event::Complete(rid));
             if self.cancel_on_completion {
                 // Completion race: concurrent executions are the
                 // protocol, not zombies — cancels go out when the first
@@ -1356,17 +1448,19 @@ impl<P: SubmissionProtocol> SimDriver<P> {
                 if self.states[j].done {
                     self.result.zombie_starts += 1;
                 } else if self.states[j].started.is_none() {
-                    self.states[j].started = Some((plan.target, now));
-                    self.states[j].winner = Some(copy);
+                    self.states[j].started = Some(now);
+                    self.states[j].winner = Some(copy as u16);
                 }
             } else if self.states[j].started.is_none() && !self.states[j].done {
-                self.states[j].started = Some((plan.target, now));
-                self.states[j].winner = Some(copy);
+                self.states[j].started = Some(now);
+                self.states[j].winner = Some(copy as u16);
                 self.send_cancels(now, j, copy);
             } else {
                 self.result.zombie_starts += 1;
             }
             self.note_queue(plan.target);
+            // The grant took the copy out of its scheduler's queue.
+            self.drop_ref(j);
         }
     }
 
@@ -1389,20 +1483,21 @@ impl<P: SubmissionProtocol> SimDriver<P> {
                 // Lost the same-instant race: revoke.
                 self.result.aborts += 1;
                 self.release(now, plan.target, rid);
-                continue;
-            }
-            // Commit: the job starts here, now.
-            self.states[j].started = Some((plan.target, now));
-            self.engine
-                .schedule(now + plan.runtime, Event::Complete(rid));
-            // The callback: cancel every other submitted copy, in copy
-            // order (cancels never add or remove requests).
-            for sibling in 0..self.states[j].plan_len as usize {
-                if sibling != copy {
-                    let target = self.plan(j, sibling).target;
-                    self.cancel_queued(now, target, request_id(j, sibling, 0));
+            } else {
+                // Commit: the job starts here, now.
+                self.states[j].started = Some(now);
+                self.schedule(now + plan.runtime, Event::Complete(rid));
+                // The callback: cancel every other submitted copy, in
+                // copy order (cancels never add or remove requests).
+                for sibling in 0..self.states[j].plan_len as usize {
+                    if sibling != copy {
+                        let target = self.plan(j, sibling).target;
+                        self.cancel_queued(now, target, request_id(j, sibling, 0));
+                    }
                 }
             }
+            // The grant took the copy out of its scheduler's queue.
+            self.drop_ref(j);
         }
     }
 
@@ -1464,16 +1559,40 @@ mod tests {
             estimate: Duration::from_secs(1.0),
             runtime: Duration::from_secs(1.0),
         };
-        let mut arena = PlanArena::default();
+        let mut arena = PlanArena::new(true);
         let a = arena.take(&[plan(0), plan(1), plan(2)]);
         let b = arena.take(&[plan(3)]);
         assert_eq!((a, b), (0, 3));
+        arena.copies[1].phase = CopyPhase::Running;
+        arena.copies[1].subs = 2;
         arena.give_back(a, 3);
+        assert_eq!(arena.free_entries(), 3);
         // A block of another length does not fit the freed one.
         assert_eq!(arena.take(&[plan(4), plan(5)]), 4);
-        // One of the same length takes it, with its own plans.
+        // One of the same length takes it, with its own plans and fresh
+        // copy states written in place.
         assert_eq!(arena.take(&[plan(6), plan(7), plan(8)]), a);
+        assert_eq!(arena.free_entries(), 0);
         let targets: Vec<u32> = arena.entries.iter().map(|e| e.target).collect();
         assert_eq!(targets, [6, 7, 8, 3, 4, 5]);
+        assert_eq!(arena.copies.len(), arena.entries.len());
+        assert!(arena
+            .copies
+            .iter()
+            .all(|cs| cs.phase == CopyPhase::InFlight && cs.subs == 0));
+        // An arena that tracks no copies keeps no copy states.
+        let mut plans_only = PlanArena::new(false);
+        plans_only.take(&[plan(0), plan(1)]);
+        assert!(plans_only.copies.is_empty());
+    }
+
+    /// A job's state and a copy's state take 56 and 16 bytes: the
+    /// reference count fits in what narrowing `started` and `winner`
+    /// saved.
+    #[cfg(target_pointer_width = "64")]
+    #[test]
+    fn job_and_copy_states_are_packed() {
+        assert_eq!(std::mem::size_of::<JobState>(), 56);
+        assert_eq!(std::mem::size_of::<CopyState>(), 16);
     }
 }

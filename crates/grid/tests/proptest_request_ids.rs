@@ -10,6 +10,14 @@
 //! the submit, its copy is one the job submitted, every submission of a
 //! copy goes to the same target with the same request and counts up from
 //! 0, and each job's recorded start is the start of one of its own ids.
+//!
+//! In a debug build the same runs check the driver's plan-block
+//! lifecycle: every event that names a job finds the job still holding
+//! its block, and at the end of a run every block is back on its free
+//! list. The batched-cancel arm reaches the two paths that drop many
+//! references at once or revive a copy: a lost transaction orphans its
+//! whole batch, and a stale cancel that kills a restarted winner makes
+//! the driver submit that copy again.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -20,7 +28,7 @@ use rbr_grid::dual_queue::{self, DualQueueConfig};
 use rbr_grid::moldable::{self, MoldableConfig, ShapePolicy};
 use rbr_grid::redundancy::{self, RedundancyConfig};
 use rbr_grid::{
-    install_observer_factory, CancelMode, Delay, FaultSpec, GridConfig, GridSim, Outage,
+    install_observer_factory, BatchSpec, CancelMode, Delay, FaultSpec, GridConfig, GridSim, Outage,
     RunObserver, RunResult, Scheme,
 };
 use rbr_sched::{Request, RequestId, SchedObserver, StartKind};
@@ -201,6 +209,26 @@ fn faulty(seed: SeedSequence) -> RunResult {
     GridSim::execute(cfg, seed)
 }
 
+/// ALL on 3 clusters with the cancellation callback's ops batched four
+/// to a transaction (30 s deadline), a fifth of the transactions lost,
+/// cancels taking a minute on average and an outage of cluster 0, as in
+/// the `faulty_batch` golden.
+fn faulty_batch(seed: SeedSequence) -> RunResult {
+    let mut cfg = GridConfig::homogeneous(3, Scheme::All);
+    cfg.window = Duration::from_secs(1_800.0);
+    cfg.faults.cancel_loss = 0.2;
+    cfg.faults.cancel_delay = Delay::Exp {
+        mean: Duration::from_secs(60.0),
+    };
+    cfg.faults.cancel_batch = BatchSpec::of(4, Duration::from_secs(30.0));
+    cfg.faults.outages = vec![Outage {
+        cluster: 0,
+        down: SimTime::from_secs(600.0),
+        recover: SimTime::from_secs(900.0),
+    }];
+    GridSim::execute(cfg, seed)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
@@ -241,6 +269,10 @@ proptest! {
 
         let (run, seen) = recorded(|| faulty(seed));
         check_ids("faulty", &run, &seen, true, true);
+
+        let (run, seen) = recorded(|| faulty_batch(seed));
+        prop_assert!(run.cancel_batches > 0, "no cancel transaction was sent");
+        check_ids("faulty batch", &run, &seen, true, true);
     }
 }
 
